@@ -10,7 +10,7 @@ The package has three layers:
 * sampling machinery -- circular-ensemble eigenangles (`sample_cue`),
   powers-of-traces statistics, chaos measures built from Gaussian Fourier
   fields (`chaos_measure`), all driven by counter-based reproducible
-  streams (`RngStream`, `run_mc`);
+  streams and one serial Monte Carlo engine (`RngStream`, `mc_map`);
 * verification harness -- the experiment registry (`run_experiment`)
   that pits estimates against oracles and emits deterministic reports.
 """
@@ -57,7 +57,9 @@ from .montecarlo import (
     MCRunStats,
     RetryableSampleError,
     RngStream,
+    as_generator,
     ks_distance,
+    mc_map,
     run_mc,
     run_mc_detailed,
 )
@@ -100,6 +102,8 @@ __all__ = [
     "MCRunStats",
     "RetryableSampleError",
     "MCFailureError",
+    "as_generator",
+    "mc_map",
     "run_mc",
     "run_mc_detailed",
     "ks_distance",

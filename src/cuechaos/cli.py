@@ -41,6 +41,7 @@ from .cue import ExponentPair, sample_cue
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _format_cell,
     build_identifier,
     run_experiment,
     write_report,
@@ -51,12 +52,6 @@ from .montecarlo import RngStream
 from .toeplitz import Singularity, SymbolSpec, fourier_coeffs, make_sigma, toeplitz_logdet
 
 __all__ = ["main"]
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _csv_text(columns: list[str], rows) -> str:
@@ -274,7 +269,6 @@ def _cmd_experiment(args) -> int:
         samples=base.get("samples"),
         grid_size=base.get("grid_size"),
         seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
-        out_dir=args.out,
         workers=args.workers if args.workers is not None else int(base.get("workers", 1)),
         backend=args.backend if args.backend is not None else str(base.get("backend", "kernel")),
     )
@@ -343,7 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--grid-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility (>= 1); has no effect, samples run serially",
+    )
     p.add_argument("--backend", choices=["kernel", "qr"], default=None)
     p.add_argument("--out", metavar="DIR", help="write the JSON + CSV report here")
     p.set_defaults(func=_cmd_experiment)

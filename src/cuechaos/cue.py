@@ -27,7 +27,7 @@ from numpy.random import Generator
 from scipy.special import loggamma
 
 from .grids import TWO_PI, grid_step, uniform_grid
-from .montecarlo import RetryableSampleError, RngStream
+from .montecarlo import RetryableSampleError, as_generator
 from .special import PoleError
 
 __all__ = [
@@ -117,16 +117,6 @@ class TraceVector:
             )
 
 
-def _rng_from(stream) -> Generator:
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    if isinstance(stream, Generator):
-        return stream
-    if isinstance(stream, (int, np.integer)):
-        return RngStream(int(stream)).generator()
-    raise TypeError(f"expected RngStream, Generator or int seed, got {type(stream)!r}")
-
-
 def _fourier_features(thetas: np.ndarray, n: int) -> np.ndarray:
     """Columns (1, z, ..., z^{n-1}) with z = e^{i theta}; the projection
     kernel is K(t, x) = <feat(x), feat(t)> / 2pi and ||feat||^2 = n."""
@@ -209,7 +199,7 @@ def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample:
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = _rng_from(stream)
+    rng = as_generator(stream)
     if backend == "kernel":
         angles = _sample_kernel_backend(n, rng)
     elif backend == "qr":

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TWO_PI, grid_step, uniform_grid
-from .cue import TraceVector, _rng_from
+from .cue import TraceVector
+from .montecarlo import as_generator
 
 __all__ = [
     "GaussianDraw",
@@ -81,7 +82,7 @@ def gaussian_draw(k: int, stream) -> GaussianDraw:
     k = int(k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    rng = _rng_from(stream)
+    rng = as_generator(stream)
     parts = rng.standard_normal(2 * k) * np.sqrt(0.5)
     return GaussianDraw(k=k, z=parts[:k] + 1j * parts[k:])
 

@@ -1,16 +1,19 @@
-"""Reproducible Monte Carlo driver built on counter-based random streams.
+"""Reproducible Monte Carlo engine built on counter-based random streams.
 
-Every sample index owns its own Philox stream, so estimates are bitwise
-identical no matter how many workers execute the sample map.  Failed
-evaluations (e.g. a quadrature node landing on an eigenangle) are retried on
-a shifted substream and counted; a run aborts if failures stop looking like
-measure-zero accidents.
+Every sample index owns its own Philox stream, and ``mc_map`` evaluates the
+samples serially in index order, so results depend only on the seed.
+Failed evaluations (e.g. a quadrature node landing on an eigenangle) are
+retried on a shifted substream and counted; a run aborts if failures stop
+looking like measure-zero accidents.  Every sampled quantity in the package
+goes through ``mc_map``; ``run_mc`` and ``run_mc_detailed`` reduce it to a
+mean and a standard error.  There is no worker pool: threads compete with
+the BLAS threads inside each draw and made runs slower, so the ``workers``
+arguments still accepted elsewhere have no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,6 +26,8 @@ __all__ = [
     "MCRunStats",
     "RetryableSampleError",
     "MCFailureError",
+    "as_generator",
+    "mc_map",
     "run_mc",
     "run_mc_detailed",
     "ks_distance",
@@ -80,93 +85,107 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class MCRunStats:
-    """Bookkeeping for a Monte Carlo run: retried and lost samples."""
+    """Bookkeeping for a Monte Carlo run.
+
+    retries counts failed attempts over all samples.  failures counts lost
+    samples; a lost sample aborts the run, so a returned run reports 0.
+    """
 
     retries: int
     failures: int
 
 
-def _evaluate_sample(
-    functional: Callable[[RngStream], float],
+def as_generator(stream) -> Generator:
+    """Coerce a randomness source to a numpy Generator.
+
+    An RngStream yields a fresh generator at the start of its stream, a
+    Generator passes through unchanged, and an int is a seed (stream id 0).
+    """
+    if isinstance(stream, RngStream):
+        return stream.generator()
+    if isinstance(stream, Generator):
+        return stream
+    if isinstance(stream, (int, np.integer)):
+        return RngStream(int(stream)).generator()
+    raise TypeError(f"expected RngStream, Generator or int seed, got {type(stream)!r}")
+
+
+def mc_map(
+    functional: Callable[[RngStream], float | np.ndarray],
+    samples: int,
     seed: int,
-    index: int,
-    retryable: tuple,
-) -> tuple[float, int, bool]:
-    retries = 0
-    for attempt in range(_MAX_RETRIES + 1):
-        stream = RngStream(seed, index) if attempt == 0 else RngStream(seed, index).substream(attempt)
-        try:
-            return float(functional(stream)), retries, True
-        except retryable:
-            retries += 1
-    return math.nan, retries, False
+    dim: int | None = None,
+    first_index: int = 0,
+) -> tuple[np.ndarray, MCRunStats]:
+    """Evaluate ``functional`` serially, once per sample index.
+
+    Sample i draws from stream (seed, first_index + i); each time the
+    functional raises RetryableSampleError it is retried on that stream's
+    next substream, at most _MAX_RETRIES times.
+
+    Parameters
+    ----------
+    functional : callable
+        Maps an RngStream to a real value, or to a length-``dim`` vector.
+    samples : int
+        Number of sample indices.
+    seed : int
+        Master seed.
+    dim : int or None
+        None for a scalar functional; otherwise the vector length.
+    first_index : int
+        Stream id of sample 0; disjoint index ranges give independent
+        sample sets under one seed.
+
+    Returns
+    -------
+    (values, MCRunStats)
+        values has shape (samples,) if dim is None, else (samples, dim).
+
+    Raises
+    ------
+    MCFailureError
+        If a sample exhausts its retries, or more than 0.1% of samples
+        need a retry at all.
+    """
+    samples = int(samples)
+    values = np.empty((samples,) if dim is None else (samples, int(dim)), dtype=float)
+    retries = retried_samples = 0
+    for i in range(samples):
+        for attempt in range(_MAX_RETRIES + 1):
+            try:
+                value = functional(RngStream(seed, first_index + i).substream(attempt))
+                break
+            except RetryableSampleError:
+                pass
+        else:
+            raise MCFailureError(f"sample {first_index + i} failed {attempt + 1} attempts; aborting")
+        values[i] = float(value) if dim is None else value
+        if attempt:
+            retries += attempt
+            retried_samples += 1
+            if retried_samples > _ABORT_FRACTION * samples:
+                raise MCFailureError(
+                    f"{retried_samples} of {samples} samples needed retries; "
+                    f"aborting (threshold {_ABORT_FRACTION:.1%})"
+                )
+    return values, MCRunStats(retries=retries, failures=0)
 
 
 def run_mc_detailed(
     functional: Callable[[RngStream], float],
     samples: int,
     seed: int,
-    workers: int = 1,
-    retryable: tuple = (RetryableSampleError,),
 ) -> tuple[MCEstimate, MCRunStats]:
-    """Estimate the mean of ``functional`` over per-index random streams.
+    """Mean and standard error of a scalar ``functional`` over mc_map.
 
-    Parameters
-    ----------
-    functional : callable
-        Maps an RngStream to a real value.  Exceptions of the types in
-        ``retryable`` trigger a resample on a shifted substream.
-    samples : int
-        Number of sample indices (>= 2).
-    seed : int
-        Master seed; sample i uses stream (seed, i).
-    workers : int
-        Thread count for the sample map.  The reduction is always performed
-        in index order, so the result is identical for any worker count.
-
-    Returns
-    -------
-    (MCEstimate, MCRunStats)
-
-    Raises
-    ------
-    MCFailureError
-        If any sample exhausts its retries, or more than 0.1% of samples
-        needed a retry at all.
+    samples must be >= 2; sample i uses stream (seed, i).  Raises
+    MCFailureError under the same retry policy as mc_map.
     """
     samples = int(samples)
     if samples < 2:
         raise ValueError(f"run_mc requires samples >= 2, got {samples}")
-    retryable = tuple(retryable) if retryable else (RetryableSampleError,)
-
-    values = np.empty(samples, dtype=float)
-    retry_counts = np.zeros(samples, dtype=np.int64)
-    ok = np.zeros(samples, dtype=bool)
-
-    def work(i: int) -> None:
-        v, r, success = _evaluate_sample(functional, seed, i, retryable)
-        values[i] = v
-        retry_counts[i] = r
-        ok[i] = success
-
-    if workers <= 1:
-        for i in range(samples):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            list(pool.map(work, range(samples)))
-
-    failures = int(samples - int(ok.sum()))
-    retried_samples = int(np.count_nonzero(retry_counts))
-    stats = MCRunStats(retries=int(retry_counts.sum()), failures=failures)
-    if failures > 0 or retried_samples > _ABORT_FRACTION * samples:
-        raise MCFailureError(
-            f"{failures} samples failed and {retried_samples} of {samples} "
-            f"needed retries; aborting (threshold {_ABORT_FRACTION:.1%})"
-        )
-
-    # Fixed-order reduction over the index-ordered array: deterministic
-    # regardless of which thread produced which entry.
+    values, stats = mc_map(functional, samples, seed)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, count=samples), stats
@@ -177,10 +196,13 @@ def run_mc(
     samples: int,
     seed: int,
     workers: int = 1,
-    retryable: tuple = (RetryableSampleError,),
 ) -> MCEstimate:
-    """Like run_mc_detailed but returning only the estimate."""
-    estimate, _ = run_mc_detailed(functional, samples, seed, workers, retryable)
+    """Like run_mc_detailed but returning only the estimate.
+
+    ``workers`` is accepted for compatibility and has no effect: samples are
+    always evaluated serially.
+    """
+    estimate, _ = run_mc_detailed(functional, samples, seed)
     return estimate
 
 

@@ -350,6 +350,7 @@ def heine_szego_check(
     equals the n x n Toeplitz determinant of the symbol.  Only the real part
     of the product enters the estimate (the validation symbols are real).
     n is capped at 16: the product estimator's variance grows exponentially.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     n = int(n)
     if not 1 <= n <= 16:
@@ -365,6 +366,6 @@ def heine_szego_check(
         draw = sample_cue(n, s)
         return float(np.prod(symbol_eval(spec, draw.angles)).real)
 
-    estimate = run_mc(functional, samples, seed, workers=workers)
+    estimate = run_mc(functional, samples, seed)
     det = toeplitz_logdet(fourier_coeffs(spec, n - 1), n)
     return estimate, float(cmath.exp(det.log_det).real)

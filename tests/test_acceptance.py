@@ -4,7 +4,7 @@ Each test prints "A<i> <name>: PASS/FAIL (<measured detail>)" and asserts the
 criterion.  Monte Carlo tests use fixed seeds, so every run evaluates the
 same draws; backends and sample counts are chosen to fit the documented
 runtime budgets (the two expensive ones, A9 and A10, use the experiment
-registry with a thread pool).
+registry).
 """
 
 import cmath
@@ -27,6 +27,7 @@ from cuechaos import (
     log_barnes_g,
     log_gamma,
     make_sigma,
+    mc_map,
     run_experiment,
     sample_cue,
     toeplitz_logdet,
@@ -34,7 +35,6 @@ from cuechaos import (
     uniform_grid,
     variance_integral,
 )
-from cuechaos.experiments import _collect_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,8 +77,8 @@ def test_A2_sampler_backend_cross_validation():
 
         return functional
 
-    kernel = _collect_values(collector("kernel"), samples, seed=100, dim=3 + n, workers=4)
-    ginibre = _collect_values(collector("qr"), samples, seed=200, dim=3 + n, workers=4)
+    kernel, _ = mc_map(collector("kernel"), samples, seed=100, dim=3 + n)
+    ginibre, _ = mc_map(collector("qr"), samples, seed=200, dim=3 + n)
 
     moment_ok = True
     gaps = []

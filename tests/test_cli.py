@@ -149,6 +149,26 @@ def test_experiment_subcommand_writes_report(tmp_path):
     assert payload["config"]["n"] == 256
 
 
+def test_experiment_subcommand_writes_report_once(tmp_path, monkeypatch, capsys):
+    import cuechaos.cli
+    import cuechaos.experiments
+
+    calls = []
+    original = cuechaos.experiments.write_report
+
+    def counting(report, out_dir):
+        calls.append(out_dir)
+        return original(report, out_dir)
+
+    monkeypatch.setattr(cuechaos.cli, "write_report", counting)
+    monkeypatch.setattr(cuechaos.experiments, "write_report", counting)
+    out = tmp_path / "once"
+    assert main(["experiment", "ef-limit", "--n", "128", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / 'ef-limit.json'}", f"wrote {out / 'ef-limit.csv'}"]
+
+
 def test_experiment_subcommand_config_file_and_flag_priority(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n": 128, "seed": 5}), encoding="utf-8")

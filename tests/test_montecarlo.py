@@ -1,7 +1,8 @@
-"""Tests for the reproducible Monte Carlo driver and the KS statistic.
+"""Tests for the reproducible Monte Carlo engine and the KS statistic.
 
-The worker-invariance checks are bitwise: the reduction is specified to run
-in sample-index order, so a thread pool must not change a single ulp.
+The worker-invariance checks are bitwise: samples are evaluated and reduced
+in index order, so the accepted-but-ignored worker count must not change a
+single ulp.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ from cuechaos import (
     MCFailureError,
     RetryableSampleError,
     RngStream,
+    as_generator,
     ks_distance,
+    mc_map,
     run_mc,
     run_mc_detailed,
 )
@@ -78,6 +81,12 @@ def test_run_mc_retries_on_flaky_sample():
     assert stats.failures == 0
     assert_allclose(est.mean, np.mean(np.arange(6000.0)), rtol=1e-12)
 
+    values, stats = mc_map(lambda s: np.full(3, flaky(s)), 6000, seed=0, dim=3)
+    assert values.shape == (6000, 3)
+    assert stats.retries == 1
+    assert stats.failures == 0
+    assert np.array_equal(values[:, 2], np.arange(6000.0))
+
 
 def test_run_mc_aborts_when_sample_never_succeeds():
     def broken(stream):
@@ -87,6 +96,8 @@ def test_run_mc_aborts_when_sample_never_succeeds():
 
     with pytest.raises(MCFailureError):
         run_mc_detailed(broken, 100, seed=0)
+    with pytest.raises(MCFailureError):
+        mc_map(lambda s: np.full(3, broken(s)), 100, seed=0, dim=3)
 
 
 def test_run_mc_aborts_on_high_retry_rate():
@@ -98,6 +109,35 @@ def test_run_mc_aborts_on_high_retry_rate():
 
     with pytest.raises(MCFailureError):
         run_mc_detailed(often_flaky, 2000, seed=0)
+    with pytest.raises(MCFailureError):
+        mc_map(lambda s: np.full(3, often_flaky(s)), 2000, seed=0, dim=3)
+
+
+def test_mc_map_shapes_and_index_ranges():
+    def functional(stream):
+        g = stream.generator()
+        return g.normal(size=2)
+
+    values, stats = mc_map(functional, 12, seed=5, dim=2)
+    assert values.shape == (12, 2)
+    assert stats.retries == 0
+    # sample i reads stream (seed, first_index + i), so a shifted range is
+    # the tail of a longer run
+    tail, _ = mc_map(functional, 7, seed=5, dim=2, first_index=5)
+    assert np.array_equal(tail, values[5:])
+    scalar, _ = mc_map(lambda s: s.generator().random(), 12, seed=5)
+    assert scalar.shape == (12,)
+    assert scalar[3] == RngStream(5, 3).generator().random()
+
+
+def test_as_generator_coercions():
+    direct = RngStream(8, 2).generator().random(3)
+    assert np.array_equal(as_generator(RngStream(8, 2)).random(3), direct)
+    g = np.random.default_rng(0)
+    assert as_generator(g) is g
+    assert np.array_equal(as_generator(8).random(3), RngStream(8, 0).generator().random(3))
+    with pytest.raises(TypeError):
+        as_generator("seed")
 
 
 def test_run_mc_rejects_tiny_sample_count():
