@@ -50,7 +50,7 @@ from .gmc import (
     integrate_measure,
     sobolev_norm,
 )
-from .grids import TWO_PI, grid_step, uniform_grid
+from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
 from .montecarlo import (
     MCEstimate,
     MCFailureError,
@@ -96,6 +96,8 @@ __all__ = [
     "TWO_PI",
     "uniform_grid",
     "grid_step",
+    "trig_series",
+    "grid_series",
     # montecarlo
     "RngStream",
     "MCEstimate",

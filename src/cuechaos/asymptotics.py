@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cue import ExponentPair
-from .grids import TWO_PI, grid_step, uniform_grid
+from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
 from .special import fh_constant, log_barnes_g
 from .toeplitz import SymbolSpec
 
@@ -198,6 +198,20 @@ def merging_prediction(n: int, delta: float, p: ExponentPair, t0: float = 0.5) -
     )
 
 
+def _cosine_coeffs(k: int) -> np.ndarray:
+    """Dense coefficients of sum_{j<=k} cos(j delta)/j: c_{+-j} = 1/(2j)."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    half = 0.5 / np.arange(1, k + 1)
+    return np.concatenate([half[::-1], [0.0], half])
+
+
+def _kernel(d: np.ndarray, gamma_sq: float, partial: np.ndarray) -> np.ndarray:
+    """(2 sin(d/2))^{-g2/2} - exp((g2/2) partial), partial the cosine sum at d."""
+    return (2.0 * np.sin(0.5 * d)) ** (-0.5 * gamma_sq) - np.exp(0.5 * gamma_sq * partial)
+
+
 def variance_kernel(delta, gamma_sq: float, k: int):
     """Truncation-error variance kernel
 
@@ -205,24 +219,18 @@ def variance_kernel(delta, gamma_sq: float, k: int):
 
     Pointwise K -> 0 as k -> infinity because sum_j cos(j delta)/j converges
     to -log(2 sin(delta/2)).  Requires 0 < delta < 2*pi and g2 < 2 (the
-    power singularity at delta = 0 is then integrable).  Vectorized in delta.
+    power singularity at delta = 0 is then integrable).  Vectorized in delta;
+    the cosine sum is a trig_series.
     """
     gamma_sq = float(gamma_sq)
     if gamma_sq >= 2.0:
         raise DomainError(f"variance_kernel requires gamma_sq < 2, got {gamma_sq}")
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    coeffs = _cosine_coeffs(k)
     scalar = np.isscalar(delta) or np.asarray(delta).ndim == 0
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if np.any((d <= 0.0) | (d >= TWO_PI)):
         raise DomainError("variance_kernel requires 0 < delta < 2*pi")
-    first = (2.0 * np.sin(0.5 * d)) ** (-0.5 * gamma_sq)
-    partial = np.zeros_like(d)
-    for j in range(1, k + 1):
-        partial += np.cos(j * d) / j
-    second = np.exp(0.5 * gamma_sq * partial)
-    out = first - second
+    out = _kernel(d, gamma_sq, trig_series(coeffs, d).real)
     return float(out[0]) if scalar else out
 
 
@@ -266,7 +274,8 @@ def variance_integral(
         # circular autocorrelation r_d = sum_i g_i g_{i+d} via FFT; the double
         # sum collapses to sum_{d=1}^{m-1} K(d h) r_d
         corr = np.fft.ifft(np.abs(np.fft.fft(gvals)) ** 2).real
-        kern = variance_kernel(np.arange(1, m) * h, gamma_sq, k)
+        partial = grid_series(_cosine_coeffs(k), m).real[1:]
+        kern = _kernel(np.arange(1, m) * h, gamma_sq, partial)
         value = float(h * h * np.sum(kern * corr[1:]))
 
     if not return_diag_bound:

@@ -39,7 +39,6 @@ from pathlib import Path
 from .asymptotics import fh_prediction
 from .cue import ExponentPair, sample_cue
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     _format_cell,
     build_identifier,
@@ -272,10 +271,7 @@ def _cmd_experiment(args) -> int:
         workers=args.workers if args.workers is not None else int(base.get("workers", 1)),
         backend=args.backend if args.backend is not None else str(base.get("backend", "kernel")),
     )
-    try:
-        report = run_experiment(config)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    report = run_experiment(config)
     for row in report["rows"]:
         status = "pass" if row["pass"] else "FAIL"
         print(
@@ -349,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # ConfigError, DomainError, PoleError included
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

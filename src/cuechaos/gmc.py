@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, grid_step, uniform_grid
+from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
 from .cue import TraceVector
 from .montecarlo import as_generator
 
@@ -95,24 +95,18 @@ def field_variance(k: int) -> float:
     return 0.5 * float(np.sum(1.0 / np.arange(1, k + 1)))
 
 
+def _field_coeffs(draw: GaussianDraw) -> np.ndarray:
+    """Dense coefficients c_{+-j} of X_k: c_j = Z_j / (2 sqrt j), c_{-j} = conj(c_j)."""
+    half = 0.5 * draw.z / np.sqrt(np.arange(1, draw.k + 1))
+    return np.concatenate([np.conj(half[::-1]), [0.0], half])
+
+
 def field_partial_sum(draw: GaussianDraw, theta):
     """X_k(theta) = sum_{j<=k} Re[Z_j e^{ij theta}] / sqrt(j).
 
     Accepts a scalar angle (returns float) or an array (returns an array).
-    Grid evaluation multiplies up powers of e^{i theta} instead of calling
-    transcendentals per mode.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    rot = np.exp(1j * theta_arr)
-    power = np.ones_like(rot)
-    acc = np.zeros(theta_arr.shape)
-    weights = 1.0 / np.sqrt(np.arange(1, draw.k + 1))
-    for j in range(draw.k):
-        power = power * rot
-        acc += weights[j] * (draw.z[j] * power).real
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(acc[0])
-    return acc
+    return trig_series(_field_coeffs(draw), theta).real
 
 
 def chaos_measure(draw: GaussianDraw, beta: float, grid=None) -> GridMeasure:
@@ -120,8 +114,8 @@ def chaos_measure(draw: GaussianDraw, beta: float, grid=None) -> GridMeasure:
 
     The normalization uses the exact variance (1/2) sum_{j<=k} 1/j, so the
     expected mass of every cell is its width and the expected total mass is
-    2*pi for every beta and k.  The grid must have at least 2k+1 nodes to
-    resolve the degree-k field.
+    2*pi for every beta and k.  The grid must be uniform (it may be shifted)
+    and have at least 2k+1 nodes to resolve the degree-k field.
     """
     if grid is None:
         grid = uniform_grid(max(1024, 8 * draw.k))
@@ -132,7 +126,7 @@ def chaos_measure(draw: GaussianDraw, beta: float, grid=None) -> GridMeasure:
         )
     h = grid_step(grid)
     beta = float(beta)
-    x = field_partial_sum(draw, grid)
+    x = grid_series(_field_coeffs(draw), grid.size, grid[0]).real
     density = np.exp(beta * x - 0.5 * beta * beta * field_variance(draw.k))
     return GridMeasure(grid=grid, masses=density * h)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 from scipy.special import loggamma as _sc_loggamma
 
 __all__ = ["PoleError", "log_gamma", "log_barnes_g", "fh_constant"]
@@ -136,10 +135,3 @@ def fh_constant(alpha: float, beta: float) -> float:
         )
     return float(value.real)
 
-
-def _log_gamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized principal-branch log Gamma for pole-free arrays."""
-    out = _sc_loggamma(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(out)):
-        raise PoleError("log_gamma pole in vectorized argument")
-    return out

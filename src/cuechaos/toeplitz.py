@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lu_factor, toeplitz as _toeplitz_matrix
 
 from .cue import ExponentPair, SingularityError, sample_cue
-from .grids import TWO_PI
+from .grids import TWO_PI, grid_series, trig_series
 from .montecarlo import MCEstimate, RngStream, run_mc
 
 __all__ = [
@@ -149,28 +149,10 @@ class FourierCoeffs:
     __getitem__ = get
 
 
-def _eval_trig_exponent(v_coeffs: dict, phi: np.ndarray) -> np.ndarray:
-    """V(e^{i phi}) accumulated by multiplying up powers of e^{i phi}."""
-    total = np.zeros(phi.shape, dtype=complex)
-    if not v_coeffs:
-        return total
-    v0 = v_coeffs.get(0)
-    if v0 is not None:
-        total += v0
-    max_order = max((abs(j) for j in v_coeffs), default=0)
-    if max_order == 0:
-        return total
-    rot = np.exp(1j * phi)
-    power = np.ones_like(rot)
-    for j in range(1, max_order + 1):
-        power = power * rot
-        vp = v_coeffs.get(j)
-        if vp is not None and vp != 0:
-            total += vp * power
-        vm = v_coeffs.get(-j)
-        if vm is not None and vm != 0:
-            total += vm * np.conj(power)
-    return total
+def _exponent_coeffs(spec: SymbolSpec) -> np.ndarray:
+    """V in the dense layout coeffs[k + j] = V_j, k = spec.max_v_order."""
+    k = spec.max_v_order
+    return np.array([spec.v(j) for j in range(-k, k + 1)])
 
 
 def symbol_eval(spec: SymbolSpec, phi):
@@ -184,7 +166,7 @@ def symbol_eval(spec: SymbolSpec, phi):
     """
     scalar = np.isscalar(phi) or np.asarray(phi).ndim == 0
     phi_arr = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), TWO_PI)
-    value = np.exp(_eval_trig_exponent(spec.v_coeffs, phi_arr))
+    value = np.exp(trig_series(_exponent_coeffs(spec), phi_arr))
     beta_sum = sum((s.beta_jump for s in spec.singularities), 0.0 + 0.0j)
     if beta_sum != 0:
         value = value * np.exp(1j * beta_sum * phi_arr)
@@ -259,7 +241,9 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
     typical singularity locations occupy; if a singularity still lands on a
     node the whole node set is shifted by a further quarter step.  The
     midpoint rule handles the integrable |.|^{2 alpha} singularities
-    (alpha > -1/2) with O(N^{-1-2 alpha}) error.
+    (alpha > -1/2) with O(N^{-1-2 alpha}) error.  On the nodes the symbol is
+    the singular factor, from symbol_eval, times e^V, with V summed by one
+    inverse FFT (grid_series).
 
     Raises a UserWarning when a singularity has alpha_exp < -0.25 and the
     transform is smaller than the documented 2^20 threshold.
@@ -297,7 +281,8 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
                 offset += 0.25 * step
                 break
     nodes = np.arange(fft_size) * step + offset
-    values = symbol_eval(spec, nodes)
+    values = symbol_eval(SymbolSpec({}, spec.singularities), nodes)
+    values *= np.exp(grid_series(_exponent_coeffs(spec), fft_size, offset))
     transform = np.fft.fft(values)
     ks = np.arange(-max_order, max_order + 1)
     coeffs = np.exp(-1j * ks * offset) * transform[np.mod(ks, fft_size)] / fft_size

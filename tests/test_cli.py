@@ -197,3 +197,24 @@ def test_bad_sizes_rejected(tmp_path):
     config.write_text(json.dumps({"v_coeffs": {"0": 0.0}}), encoding="utf-8")
     with pytest.raises(SystemExit):
         main(["toeplitz-det", "--config", str(config), "--sizes", "4,frog"])
+
+
+@pytest.mark.parametrize(
+    "argv, symbol",
+    [
+        (["gmc-sample", "--k", "64", "--grid-size", "100"], None),
+        (["toeplitz-det", "--sizes", "2000"], {"v_coeffs": {"0": 0.0}}),
+        (["sample-cue", "--n", "0"], None),
+        (["fh-asymptotics"], {"singularities": [{"location": 1.0, "alpha": -0.5}]}),
+    ],
+    ids=["gmc-sample-nyquist", "toeplitz-det-size-cap", "sample-cue-n0", "fh-asymptotics-alpha"],
+)
+def test_bad_input_exits_with_error_message(tmp_path, argv, symbol):
+    # library ValueErrors (ConfigError, DomainError, ...) end in one line, not a traceback
+    if symbol is not None:
+        config = tmp_path / "symbol.json"
+        config.write_text(json.dumps(symbol), encoding="utf-8")
+        argv = argv + ["--config", str(config)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert str(info.value.code).startswith("error:")

@@ -89,12 +89,13 @@ def test_field_covariance_oracle():
 
 def test_chaos_measure_node_values():
     draw = gaussian_draw(4, RngStream(7, 3))
-    grid = uniform_grid(64)
-    measure = chaos_measure(draw, 0.8, grid)
-    field = field_partial_sum(draw, grid)
-    expected = np.exp(0.8 * field - 0.32 * field_variance(4)) * (TWO_PI / 64)
-    assert_allclose(measure.masses, expected, rtol=1e-13)
-    assert_allclose(measure.total_mass, expected.sum(), rtol=1e-13)
+    # the unshifted grid and one shifted by half a step
+    for grid in (uniform_grid(64), uniform_grid(64) + 0.5 * TWO_PI / 64):
+        measure = chaos_measure(draw, 0.8, grid)
+        field = field_partial_sum(draw, grid)
+        expected = np.exp(0.8 * field - 0.32 * field_variance(4)) * (TWO_PI / 64)
+        assert_allclose(measure.masses, expected, rtol=1e-13)
+        assert_allclose(measure.total_mass, expected.sum(), rtol=1e-13)
 
 
 def test_chaos_measure_grid_nyquist_guard():

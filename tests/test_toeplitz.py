@@ -185,6 +185,20 @@ def test_fourier_coeffs_doubling_stability():
     assert gap < 1e-7
 
 
+def test_fourier_coeffs_matches_direct_transform_of_symbol_values():
+    # sigma2 with a 200-mode trig part: fourier_coeffs sums V by inverse FFT,
+    # the oracle takes symbol_eval on the same midpoint nodes and np.fft.fft
+    spec = make_sigma(2, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.3), 200)
+    size, order = 1 << 14, 64
+    offset = 0.5 * TWO_PI / size  # pi/2 lies on the integer grid, off every midpoint
+    values = symbol_eval(spec, np.arange(size) * (TWO_PI / size) + offset)
+    transform = np.fft.fft(values) / size
+    ks = np.arange(-order, order + 1)
+    oracle = np.exp(-1j * ks * offset) * transform[np.mod(ks, size)]
+    got = fourier_coeffs(spec, order, size).values
+    assert_allclose(got, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
 def test_fourier_coeffs_warns_on_risky_quadrature():
     spec = SymbolSpec({}, (Singularity(1.0, -0.3, 0.0),))
     with pytest.warns(UserWarning):
