@@ -7,7 +7,8 @@ The package has three layers:
 * exact machinery -- special functions (`log_barnes_g`, `fh_constant`),
   finite-size moment formulas (`exact_mean_f`), Toeplitz determinants
   (`toeplitz_logdet`) and their closed-form asymptotics (`fh_prediction`);
-* sampling machinery -- circular-ensemble eigenangles (`sample_cue`),
+* sampling machinery -- circular-ensemble draws (`sample_cue`), as
+  eigenangles or as Verblunsky coefficients evaluated by the Szego recursion,
   powers-of-traces statistics, chaos measures built from Gaussian Fourier
   fields (`chaos_measure`), all driven by counter-based reproducible
   streams and one serial Monte Carlo engine (`RngStream`, `mc_map`);
@@ -31,6 +32,7 @@ from .cue import (
     ExponentPair,
     SingularityError,
     TraceVector,
+    VerblunskySample,
     charpoly_log,
     exact_mean_f,
     f_truncated,
@@ -111,6 +113,7 @@ __all__ = [
     "ks_distance",
     # cue
     "EigenSample",
+    "VerblunskySample",
     "ExponentPair",
     "TraceVector",
     "SingularityError",

@@ -39,6 +39,7 @@ from pathlib import Path
 from .asymptotics import fh_prediction
 from .cue import ExponentPair, sample_cue
 from .experiments import (
+    _BACKENDS,
     ExperimentConfig,
     _format_cell,
     build_identifier,
@@ -269,7 +270,7 @@ def _cmd_experiment(args) -> int:
         grid_size=base.get("grid_size"),
         seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
         workers=args.workers if args.workers is not None else int(base.get("workers", 1)),
-        backend=args.backend if args.backend is not None else str(base.get("backend", "kernel")),
+        backend=str(args.backend or base.get("backend", ExperimentConfig.backend)),
     )
     report = run_experiment(config)
     for row in report["rows"]:
@@ -297,7 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="matrix size (default 8)")
     p.add_argument("--samples", type=int, default=1, help="number of draws (default 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["kernel", "qr"], default="kernel")
+    p.add_argument(
+        "--backend", choices=["kernel", "qr"], default="kernel",
+        help="eigenangle sampler (default kernel)",
+    )
     p.add_argument("--out", metavar="DIR", help="output directory (default: stdout)")
     p.set_defaults(func=_cmd_sample_cue)
 
@@ -337,7 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="accepted for compatibility (>= 1); has no effect, samples run serially",
     )
-    p.add_argument("--backend", choices=["kernel", "qr"], default=None)
+    p.add_argument(
+        "--backend", choices=_BACKENDS, default=None,
+        help=f"sampler backend (default {ExperimentConfig.backend})",
+    )
     p.add_argument("--out", metavar="DIR", help="write the JSON + CSV report here")
     p.set_defaults(func=_cmd_experiment)
     return parser

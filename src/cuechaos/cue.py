@@ -1,20 +1,30 @@
-r"""Circular-ensemble eigenvalue sampling and characteristic-polynomial
-functionals.
+r"""Circular-ensemble draws and characteristic-polynomial functionals.
 
-A draw consists of n eigenangles with joint density
+A draw is one n x n Haar-random unitary, seen through its n eigenangles with
+joint density
 
     (1/n!) prod_{k<j} |e^{i theta_k} - e^{i theta_j}|^2  prod_k dtheta_k/(2 pi),
 
-the eigenvalue law of an n x n Haar-random unitary.  On top of a draw we
-evaluate the random function
+or through its n Verblunsky coefficients, which for this ensemble are
+independent (Killip & Nenciu, IMRN 2004).  On top of a draw we evaluate the
+random function
 
     f(theta) = |p_n(theta)|^alpha * exp(beta * Im log p_n(theta)),
 
 where p_n(theta) = prod_k (1 - e^{i(theta_k - theta)}) and Im log p_n is the
 sum of per-eigenvalue principal logarithms: with x = (theta_k - theta) mod
 2*pi in (0, 2*pi), each term equals (x - pi)/2 and lies in (-pi/2, pi/2].
-This per-eigenvalue branch is NOT the principal argument of the product, so
-all branch computations go through the eigenangles.
+This per-eigenvalue branch is NOT the principal argument of the product.
+
+From Verblunsky coefficients the same branch is a sum over the factors of
+p_n(theta) = prod_k (1 - gamma_k(theta)) that the Szego recursion produces,
+1 - gamma_k = Phi_{k+1}(z) / (z Phi_k(z)) at z = e^{i theta}: each factor
+has nonnegative real part, so the sum of their principal arguments is a
+branch of arg p_n.  It jumps by +pi at every zero, because arg gamma_{n-1}
+decreases strictly in theta, and its mean over the circle is 0 because each
+log(1 - gamma_k) is analytic outside the disk and vanishes at infinity.  The
+per-eigenvalue branch has the same jumps and the same mean, so the two agree
+at every theta.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ __all__ = [
     "COLLISION_TOL",
     "SingularityError",
     "EigenSample",
+    "VerblunskySample",
     "ExponentPair",
     "TraceVector",
     "sample_cue",
@@ -49,9 +60,13 @@ __all__ = [
 # eigenangle; such hits raise SingularityError instead of returning inf.
 COLLISION_TOL = 1e-12
 
+# Largest accepted deviation of |alpha_{n-1}| from 1 in a VerblunskySample.
+_UNIT_TOL = 1e-12
+
 
 class SingularityError(RetryableSampleError):
-    """An evaluation angle coincides with an eigenangle to machine precision."""
+    """An evaluation angle coincides with a zero of p_n to machine precision,
+    or f is not finite there."""
 
 
 @dataclass(eq=False)
@@ -78,6 +93,128 @@ class EigenSample:
             raise ValueError("angles must lie in [0, 2*pi)")
         if self.n > 1 and np.any(np.diff(self.angles) <= 0.0):
             raise ValueError("angles must be strictly increasing")
+
+    def log_charpoly(self, theta, branch: bool = True):
+        """log|p_n| and the per-eigenvalue Im log p_n at angles theta (any
+        shape); Im log p_n is None when branch is False.
+
+        Raises SingularityError if an angle is within COLLISION_TOL of an
+        eigenangle.
+        """
+        x = _angle_offsets(self, theta)
+        if np.any(np.minimum(x, TWO_PI - x) < COLLISION_TOL):
+            raise SingularityError("evaluation angle hits an eigenangle")
+        logabs = np.sum(np.log(2.0 * np.sin(0.5 * x)), axis=-1)
+        imlog = np.sum(0.5 * (x - np.pi), axis=-1) if branch else None
+        return logabs, imlog
+
+    def traces(self, j_max: int) -> np.ndarray:
+        """Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max."""
+        j = np.arange(1, j_max + 1)
+        return np.exp(1j * j[:, None] * self.angles[None, :]).sum(axis=1)
+
+
+def _szego(alphas, times_z, phi, phis):
+    """The Szego recursion from (Phi_0, Phi_0^*) = (phi, phis):
+
+        Phi_{k+1} = z Phi_k - conj(alpha_k) Phi_k^*,
+        Phi_{k+1}^* = Phi_k^* - alpha_k z Phi_k.
+
+    The polynomials may be held as values at points of the circle or as
+    coefficient vectors (lowest order first); times_z multiplies one by z in
+    that form.  Yields (z Phi_k, Phi_{k+1}, Phi_{k+1}^*) for k = 0, 1, ...,
+    len(alphas) - 1.
+    """
+    for a in np.asarray(alphas, dtype=complex).tolist():
+        zphi = times_z(phi)
+        phi, phis = zphi - a.conjugate() * phis, phis - a * zphi
+        yield zphi, phi, phis
+
+
+def _power_sums(coeffs: np.ndarray, j_max: int) -> np.ndarray:
+    """p_j = sum_i lambda_i^j for j = 1..j_max by Newton's identities, from
+    the leading coefficients of the monic prod_{i<=n} (z - lambda_i) =
+    sum_m a_m z^{n-m}: coeffs[m] = a_m for m <= N, with N = n or N >= j_max.
+
+        p_j = -sum_{m=1}^{min(j-1, N)} a_m p_{j-m} - j a_j [j <= N].
+    """
+    n = coeffs.size - 1
+    sums = np.empty(j_max, dtype=complex)
+    for j in range(1, j_max + 1):
+        m = min(j - 1, n)
+        total = np.dot(coeffs[1:m + 1], sums[j - 1 - m:j - 1][::-1])
+        if j <= n:
+            total += j * coeffs[j]
+        sums[j - 1] = -total
+    return sums
+
+
+@dataclass(eq=False)
+class VerblunskySample:
+    """One draw given by its Verblunsky coefficients alpha_0..alpha_{n-1}.
+
+    |alpha_k| < 1 for k < n - 1 and |alpha_{n-1}| = 1 (to 1e-12): these are
+    the coefficients of an n x n unitary with a cyclic vector, and its
+    characteristic polynomial is Phi_n of the Szego recursion, so
+    p_n(theta) = e^{-i n theta} Phi_n(e^{i theta}).  No eigensolve is done.
+    """
+
+    n: int
+    alphas: np.ndarray
+
+    def __post_init__(self):
+        self.n = int(self.n)
+        self.alphas = np.asarray(self.alphas, dtype=complex)
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
+        if self.alphas.ndim != 1 or self.alphas.size != self.n:
+            raise ValueError(
+                f"expected {self.n} Verblunsky coefficients, got shape {self.alphas.shape}"
+            )
+        radii = np.abs(self.alphas)
+        if not np.all(radii[:-1] < 1.0):
+            raise ValueError("need |alpha_k| < 1 for k < n - 1")
+        if not abs(radii[-1] - 1.0) <= _UNIT_TOL:
+            raise ValueError(f"need |alpha_(n-1)| = 1, got {radii[-1]!r}")
+
+    def log_charpoly(self, theta, branch: bool = True):
+        """log|p_n| and Im log p_n at angles theta (any shape), by the Szego
+        recursion on the values at e^{i theta}; Im log p_n, the sum of the
+        principal arguments of the factors Phi_{k+1} / (z Phi_k), is None
+        when branch is False.
+
+        Raises SingularityError if |p_n| underflows to 0 or is not finite.
+        """
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        one = np.ones_like(z)
+        imlog = np.zeros(np.shape(z)) if branch else None
+        for zphi, phi, _ in _szego(self.alphas, lambda v: z * v, one, one):
+            if branch:
+                factor = phi / zphi
+                imlog += np.arctan2(factor.imag, factor.real)
+        modulus = np.abs(phi)
+        if not np.all((modulus > 0.0) & (modulus < np.inf)):
+            raise SingularityError("|p_n| underflows to 0 or overflows")
+        return np.log(modulus), imlog
+
+    def traces(self, j_max: int) -> np.ndarray:
+        """Tr U^j for j = 1..j_max, by Newton's identities.
+
+        The Szego recursion runs on coefficient vectors modulo z^L,
+        L = min(j_max, n) + 1, which is exact for the lowest L coefficients
+        of Phi_n^*(z) = prod_k (1 - conj(lambda_k) z): the conjugates of
+        the L leading coefficients of Phi_n, all that the identities use.
+        """
+        start = np.zeros(min(j_max, self.n) + 1, dtype=complex)
+        start[0] = 1.0
+        zero = np.zeros(1, dtype=complex)
+
+        def times_z(coeffs):  # multiplication by z modulo z^L
+            return np.concatenate((zero, coeffs[:-1]))
+
+        for _, _, phis in _szego(self.alphas, times_z, start, start):
+            pass
+        return _power_sums(phis.conj(), j_max)
 
 
 @dataclass(frozen=True)
@@ -181,8 +318,19 @@ def _sample_qr_backend(n: int, rng: Generator) -> np.ndarray:
     return angles
 
 
-def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample:
-    """Draw one n-point circular-ensemble eigenangle configuration.
+def _sample_verblunsky_backend(n: int, rng: Generator) -> VerblunskySample:
+    # Killip & Nenciu: alpha_0..alpha_{n-2} are independent and rotation
+    # invariant with |alpha_k|^2 ~ Beta(1, n-k-1), and alpha_{n-1} is uniform
+    # on the circle.  u[k] sets |alpha_k|^2 = 1 - (1 - u[k])^{1/(n-k-1)}
+    # (inverse CDF) and u[n-1+k] sets arg alpha_k = 2 pi u[n-1+k].
+    u = rng.random(2 * n - 1)
+    radii = np.ones(n)
+    radii[:-1] = np.sqrt(-np.expm1(np.log1p(-u[: n - 1]) / np.arange(n - 1, 0, -1)))
+    return VerblunskySample(n=n, alphas=radii * np.exp(TWO_PI * 1j * u[n - 1 :]))
+
+
+def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample | VerblunskySample:
+    """Draw one n x n Haar unitary, as eigenangles or Verblunsky coefficients.
 
     Parameters
     ----------
@@ -190,23 +338,30 @@ def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample:
         Matrix size (>= 1).
     stream : RngStream | numpy Generator | int
         Source of randomness; an int is treated as a seed.
-    backend : {"kernel", "qr"}
+    backend : {"kernel", "qr", "verblunsky"}
         "kernel" (default) samples the determinantal point process directly
         through its projection kernel and never materializes a matrix;
         "qr" diagonalizes a Haar unitary built by QR of a Ginibre matrix.
-        The two agree in law and are cross-validated by the test suite.
+        Both return an EigenSample.  "verblunsky" draws the n independent
+        Verblunsky coefficients of Killip & Nenciu and returns a
+        VerblunskySample, which evaluates p_n and the traces by the Szego
+        recursion with no eigensolve and has no angles.  It reads the stream
+        once, u = rng.random(2n - 1): u[0..n-2] give the moduli of
+        alpha_0..alpha_{n-2} and u[n-1..2n-2] the phases of
+        alpha_0..alpha_{n-1}.  All three agree in law and are
+        cross-validated by the test suite.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = as_generator(stream)
     if backend == "kernel":
-        angles = _sample_kernel_backend(n, rng)
-    elif backend == "qr":
-        angles = _sample_qr_backend(n, rng)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return EigenSample(n=n, angles=angles)
+        return EigenSample(n=n, angles=_sample_kernel_backend(n, rng))
+    if backend == "qr":
+        return EigenSample(n=n, angles=_sample_qr_backend(n, rng))
+    if backend == "verblunsky":
+        return _sample_verblunsky_backend(n, rng)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _angle_offsets(sample: EigenSample, theta) -> np.ndarray:
@@ -215,7 +370,7 @@ def _angle_offsets(sample: EigenSample, theta) -> np.ndarray:
     return np.mod(sample.angles - theta[..., None], TWO_PI)
 
 
-def charpoly_log(sample: EigenSample, theta: float) -> tuple[float, float]:
+def charpoly_log(sample: EigenSample | VerblunskySample, theta: float) -> tuple[float, float]:
     """log|p_n(theta)| and the branch-summed Im log p_n(theta).
 
     Returns
@@ -223,35 +378,43 @@ def charpoly_log(sample: EigenSample, theta: float) -> tuple[float, float]:
     (logabs, imlog) : tuple of floats
         logabs = sum_k log|1 - e^{i(theta_k - theta)}|,
         imlog = sum_k (x_k - pi)/2 with x_k = (theta_k - theta) mod 2*pi;
-        each branch term lies in (-pi/2, pi/2].
+        each branch term lies in (-pi/2, pi/2].  A VerblunskySample gives
+        the same branch as a sum over the Szego factors (module docstring).
 
     Raises
     ------
     SingularityError
-        If theta is within 1e-12 of an eigenangle.
+        If theta is within 1e-12 of an eigenangle (EigenSample), or |p_n|
+        underflows to 0 (VerblunskySample).
     """
-    x = _angle_offsets(sample, float(theta))
-    if np.any(np.minimum(x, TWO_PI - x) < COLLISION_TOL):
-        raise SingularityError(f"theta={theta} hits an eigenangle")
-    logabs = float(np.sum(np.log(2.0 * np.sin(0.5 * x))))
-    imlog = float(np.sum(0.5 * (x - np.pi)))
-    return logabs, imlog
+    logabs, imlog = sample.log_charpoly(float(theta))
+    return float(logabs), float(imlog)
 
 
-def trace_powers(sample: EigenSample, j_max: int) -> TraceVector:
+def trace_powers(sample: EigenSample | VerblunskySample, j_max: int) -> TraceVector:
     """Traces Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max."""
     j_max = int(j_max)
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
-    j = np.arange(1, j_max + 1)
-    traces = np.exp(1j * j[:, None] * sample.angles[None, :]).sum(axis=1)
-    return TraceVector(j_max=j_max, traces=traces)
+    return TraceVector(j_max=j_max, traces=sample.traces(j_max))
 
 
-def f_value(sample: EigenSample, theta: float, p: ExponentPair) -> float:
-    """|p_n(theta)|^alpha * exp(beta * Im log p_n(theta))."""
-    logabs, imlog = charpoly_log(sample, theta)
-    return math.exp(p.alpha * logabs + p.beta * imlog)
+def _log_f(sample: EigenSample | VerblunskySample, theta, p: ExponentPair):
+    """alpha log|p_n| + beta Im log p_n at theta; the branch is computed only
+    when beta != 0."""
+    logabs, imlog = sample.log_charpoly(theta, branch=p.beta != 0.0)
+    return p.alpha * logabs if imlog is None else p.alpha * logabs + p.beta * imlog
+
+
+def f_value(sample: EigenSample | VerblunskySample, theta: float, p: ExponentPair) -> float:
+    """|p_n(theta)|^alpha * exp(beta * Im log p_n(theta)).
+
+    Raises SingularityError where charpoly_log does, or if f overflows.
+    """
+    try:
+        return math.exp(_log_f(sample, float(theta), p))
+    except OverflowError as exc:
+        raise SingularityError(f"f overflows at theta={theta}") from exc
 
 
 def f_truncated(traces: TraceVector, theta: float, p: ExponentPair, k: int) -> float:
@@ -291,17 +454,18 @@ def exact_mean_f(n: int, p: ExponentPair) -> float:
     return float(np.exp(log_mean))
 
 
-def _f_on_grid(sample: EigenSample, thetas: np.ndarray, p: ExponentPair) -> np.ndarray:
-    """Vectorized f over a batch of angles (already collision-free)."""
+def _shift_collisions(sample: EigenSample, grid: np.ndarray, h: float) -> np.ndarray:
+    """The grid with every node closer than COLLISION_TOL to an eigenangle
+    moved by half a step."""
+    thetas = grid.copy()
     x = _angle_offsets(sample, thetas)
-    if np.any(np.minimum(x, TWO_PI - x) < COLLISION_TOL):
-        raise SingularityError("grid node hits an eigenangle after shifting")
-    logabs = np.sum(np.log(2.0 * np.sin(0.5 * x)), axis=-1)
-    imlog = np.sum(0.5 * (x - np.pi), axis=-1)
-    return np.exp(p.alpha * logabs + p.beta * imlog)
+    colliding = np.minimum(x, TWO_PI - x).min(axis=-1) < COLLISION_TOL
+    if np.any(colliding):
+        thetas[colliding] += 0.5 * h
+    return thetas
 
 
-def integrate_f(sample: EigenSample, g, p: ExponentPair, grid=None) -> float:
+def integrate_f(sample: EigenSample | VerblunskySample, g, p: ExponentPair, grid=None) -> float:
     """Quadrature of g against the normalized measure f(theta)/E f dtheta.
 
     Parameters
@@ -312,10 +476,12 @@ def integrate_f(sample: EigenSample, g, p: ExponentPair, grid=None) -> float:
     grid : 1-d array, optional
         Uniform angle grid; defaults to uniform_grid(max(512, 8n)).  Must
         have at least 4n nodes to resolve the 1/n-scale oscillations.
-        Nodes colliding with an eigenangle are shifted by half a step.
+        For an EigenSample, nodes colliding with an eigenangle are shifted
+        by half a step.
 
     With g identically 1 the result is the total mass of the normalized
-    measure, which has expectation 2*pi.
+    measure, which has expectation 2*pi.  Raises SingularityError if f is
+    not finite at a node.
     """
     if grid is None:
         grid = uniform_grid(max(512, 8 * sample.n))
@@ -325,12 +491,10 @@ def integrate_f(sample: EigenSample, g, p: ExponentPair, grid=None) -> float:
             f"grid size {grid.size} too coarse for n={sample.n}; need >= {4 * sample.n}"
         )
     h = grid_step(grid)
-    thetas = grid.copy()
-    x = _angle_offsets(sample, thetas)
-    colliding = np.minimum(x, TWO_PI - x).min(axis=-1) < COLLISION_TOL
-    if np.any(colliding):
-        thetas[colliding] += 0.5 * h
-    fvals = _f_on_grid(sample, thetas, p)
+    thetas = _shift_collisions(sample, grid, h) if isinstance(sample, EigenSample) else grid
+    fvals = np.exp(_log_f(sample, thetas, p))
+    if not np.all(np.isfinite(fvals)):
+        raise SingularityError("f is not finite on the grid")
     if callable(g):
         gvals = np.asarray(g(thetas), dtype=float)
         gvals = np.broadcast_to(gvals, thetas.shape)

@@ -48,7 +48,9 @@ class ExperimentConfig:
     """Parameters of a registry run; None fields take experiment defaults.
 
     ``workers`` is validated (>= 1) but has no effect: samples are always
-    evaluated serially.
+    evaluated serially.  ``backend`` is the sample_cue backend of every
+    sampled experiment; the default "verblunsky" draws p_n and the traces
+    with no eigensolve, while "kernel" and "qr" sample eigenangles.
     """
 
     experiment: str
@@ -61,7 +63,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     workers: int = 1
-    backend: str = "kernel"
+    backend: str = "verblunsky"
 
 
 _DEFAULTS = {
@@ -72,6 +74,8 @@ _DEFAULTS = {
     "mass-ks": dict(n=128, k=128, alpha=1.0, beta=0.0, samples=2000, grid_size=1024),
     "coeff-variance": dict(n=64, k=4, alpha=0.0, beta=0.0, samples=20000, grid_size=0),
 }
+
+_BACKENDS = ("verblunsky", "kernel", "qr")
 
 _GAUSSIAN_MOMENTS = (0.0, 0.5, 0.0, 0.75)
 
@@ -126,8 +130,8 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     )
     if resolved.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {resolved.workers}")
-    if resolved.backend not in ("kernel", "qr"):
-        raise ConfigError(f"backend: must be 'kernel' or 'qr', got {resolved.backend!r}")
+    if resolved.backend not in _BACKENDS:
+        raise ConfigError(f"backend: must be one of {_BACKENDS}, got {resolved.backend!r}")
     return resolved
 
 

@@ -243,7 +243,7 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
     midpoint rule handles the integrable |.|^{2 alpha} singularities
     (alpha > -1/2) with O(N^{-1-2 alpha}) error.  On the nodes the symbol is
     the singular factor, from symbol_eval, times e^V, with V summed by one
-    inverse FFT (grid_series).
+    inverse FFT (grid_series); a symbol with V = 0 skips that factor.
 
     Raises a UserWarning when a singularity has alpha_exp < -0.25 and the
     transform is smaller than the documented 2^20 threshold.
@@ -282,7 +282,9 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
                 break
     nodes = np.arange(fft_size) * step + offset
     values = symbol_eval(SymbolSpec({}, spec.singularities), nodes)
-    values *= np.exp(grid_series(_exponent_coeffs(spec), fft_size, offset))
+    exponent = _exponent_coeffs(spec)
+    if np.any(exponent != 0):
+        values *= np.exp(grid_series(exponent, fft_size, offset))
     transform = np.fft.fft(values)
     ks = np.arange(-max_order, max_order + 1)
     coeffs = np.exp(-1j * ks * offset) * transform[np.mod(ks, fft_size)] / fft_size

@@ -218,3 +218,18 @@ def test_bad_input_exits_with_error_message(tmp_path, argv, symbol):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert str(info.value.code).startswith("error:")
+
+
+def test_experiment_defaults_to_the_registry_backend(tmp_path):
+    out = tmp_path / "rep"
+    main(["experiment", "moment-mc", "--n", "4", "--samples", "4", "--out", str(out)])
+    payload = json.loads((out / "moment-mc.json").read_text(encoding="utf-8"))
+    assert payload["config"]["backend"] == "verblunsky"
+
+
+def test_sample_cue_rejects_the_verblunsky_backend(capsys):
+    # sample-cue exports eigenangles, which a Verblunsky draw does not have
+    with pytest.raises(SystemExit) as info:
+        main(["sample-cue", "--backend", "verblunsky"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from cuechaos import (
     SingularityError,
     SymbolSpec,
     fourier_coeffs,
+    grid_series,
     heine_szego_check,
     make_sigma,
     symbol_eval,
@@ -197,6 +198,34 @@ def test_fourier_coeffs_matches_direct_transform_of_symbol_values():
     oracle = np.exp(-1j * ks * offset) * transform[np.mod(ks, size)]
     got = fourier_coeffs(spec, order, size).values
     assert_allclose(got, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+def test_fourier_coeffs_skips_the_exponent_factor_when_v_is_zero(monkeypatch):
+    # sigma3 has V = 0: no inverse FFT of V, and the coefficients are bitwise
+    # those of multiplying by exp(grid_series([0], N, offset)) = 1 + 0j
+    import cuechaos.toeplitz
+
+    spec = make_sigma(3, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.2), 0)
+    size, order = 1 << 14, 64
+    offset = 0.5 * TWO_PI / size  # both singularities lie on the integer grid
+    values = symbol_eval(spec, np.arange(size) * (TWO_PI / size) + offset)
+    values *= np.exp(grid_series(np.zeros(1), size, offset))
+    transform = np.fft.fft(values)
+    ks = np.arange(-order, order + 1)
+    parent = np.exp(-1j * ks * offset) * transform[np.mod(ks, size)] / size
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return grid_series(*args, **kwargs)
+
+    monkeypatch.setattr(cuechaos.toeplitz, "grid_series", spy)
+    got = fourier_coeffs(spec, order, size).values
+    assert calls == []
+    np.testing.assert_array_equal(got, parent)
+    fourier_coeffs(make_sigma(2, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.2), 8), order, size)
+    assert len(calls) == 1  # the spy sees a symbol with V != 0
 
 
 def test_fourier_coeffs_warns_on_risky_quadrature():
