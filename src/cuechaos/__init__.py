@@ -62,7 +62,6 @@ from .montecarlo import (
     as_generator,
     ks_distance,
     mc_map,
-    run_mc,
     run_mc_detailed,
 )
 from .special import PoleError, fh_constant, log_barnes_g, log_gamma
@@ -108,7 +107,6 @@ __all__ = [
     "MCFailureError",
     "as_generator",
     "mc_map",
-    "run_mc",
     "run_mc_detailed",
     "ks_distance",
     # cue

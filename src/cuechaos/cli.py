@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-sample-cue      draw circular-ensemble eigenangle samples; CSV, one angle per
-                row under the header ``theta`` (one file per draw with --out)
+sample-cue      draw circular-ensemble eigenangle samples (Ginibre QR); CSV,
+                one angle per row under the header ``theta`` (one file per
+                draw with --out)
 gmc-sample      draw truncated-field chaos measures on a grid; CSV with
                 columns ``theta,mass`` (one file per draw with --out)
 toeplitz-det    exact log-determinants of a symbol given as JSON; CSV with
@@ -132,30 +133,55 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SystemExit(f"error: {where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _json_number(obj: dict, key: str, where: str, default=None, convert=float):
+    """obj[key] through convert; a missing key takes default, and is an error
+    when there is none."""
+    if key not in obj:
+        if default is None:
+            raise SystemExit(f"error: {where}: missing field {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: {where}.{key}: expected a number, got {obj[key]!r}") from exc
+
+
 def _symbol_from_json(data: dict) -> SymbolSpec:
     if "sigma" in data:
-        s = data["sigma"]
-        p = ExponentPair(float(s.get("alpha", 0.0)), float(s.get("beta", 0.0)))
+        s = _json_object(data["sigma"], "sigma")
+        p = ExponentPair(
+            _json_number(s, "alpha", "sigma", 0.0), _json_number(s, "beta", "sigma", 0.0)
+        )
         return make_sigma(
-            int(s["which"]),
-            float(s.get("theta", 0.0)),
-            float(s.get("theta2", 0.0)),
+            _json_number(s, "which", "sigma", convert=int),
+            _json_number(s, "theta", "sigma", 0.0),
+            _json_number(s, "theta2", "sigma", 0.0),
             p,
-            int(s.get("k", 2000)),
+            _json_number(s, "k", "sigma", 2000, int),
         )
     v_coeffs = {
         int(order): _complex_from_json(value, f"v_coeffs[{order}]")
-        for order, value in data.get("v_coeffs", {}).items()
+        for order, value in _json_object(data.get("v_coeffs", {}), "v_coeffs").items()
     }
+    entries = data.get("singularities", [])
+    if not isinstance(entries, list):
+        raise SystemExit(f"error: singularities: expected a list of objects, got {entries!r}")
     singularities = []
-    for i, entry in enumerate(data.get("singularities", [])):
-        alpha = entry.get("alpha", entry.get("alpha_exp", 0.0))
+    for i, entry in enumerate(entries):
+        where = f"singularities[{i}]"
+        entry = _json_object(entry, where)
         beta = entry.get("beta", entry.get("beta_jump", 0.0))
         singularities.append(
             Singularity(
-                float(entry["location"]),
-                float(alpha),
-                _complex_from_json(beta, f"singularities[{i}].beta"),
+                _json_number(entry, "location", where),
+                _json_number(entry, "alpha" if "alpha" in entry else "alpha_exp", where, 0.0),
+                _complex_from_json(beta, f"{where}.beta"),
             )
         )
     return SymbolSpec(v_coeffs, tuple(singularities))
@@ -174,13 +200,13 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_sample_cue(args) -> int:
     blocks = []
     for i in range(args.samples):
-        sample = sample_cue(args.n, RngStream(args.seed, i), args.backend)
+        sample = sample_cue(args.n, RngStream(args.seed, i))
         blocks.append([(float(theta),) for theta in sample.angles])
     files = _emit_sample_csvs(args.out, "cue_sample", ["theta"], blocks)
     _write_summary(
         args.out,
         "sample-cue",
-        {"n": args.n, "samples": args.samples, "seed": args.seed, "backend": args.backend},
+        {"n": args.n, "samples": args.samples, "seed": args.seed},
         files,
     )
     return 0
@@ -269,7 +295,6 @@ def _cmd_experiment(args) -> int:
         samples=base.get("samples"),
         grid_size=base.get("grid_size"),
         seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
-        workers=args.workers if args.workers is not None else int(base.get("workers", 1)),
         backend=str(args.backend or base.get("backend", ExperimentConfig.backend)),
     )
     report = run_experiment(config)
@@ -298,10 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="matrix size (default 8)")
     p.add_argument("--samples", type=int, default=1, help="number of draws (default 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend", choices=["kernel", "qr"], default="kernel",
-        help="eigenangle sampler (default kernel)",
-    )
     p.add_argument("--out", metavar="DIR", help="output directory (default: stdout)")
     p.set_defaults(func=_cmd_sample_cue)
 
@@ -337,10 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--grid-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted for compatibility (>= 1); has no effect, samples run serially",
-    )
     p.add_argument(
         "--backend", choices=_BACKENDS, default=None,
         help=f"sampler backend (default {ExperimentConfig.backend})",

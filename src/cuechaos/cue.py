@@ -254,56 +254,6 @@ class TraceVector:
             )
 
 
-def _fourier_features(thetas: np.ndarray, n: int) -> np.ndarray:
-    """Columns (1, z, ..., z^{n-1}) with z = e^{i theta}; the projection
-    kernel is K(t, x) = <feat(x), feat(t)> / 2pi and ||feat||^2 = n."""
-    z = np.exp(1j * np.asarray(thetas, dtype=float))
-    factors = np.empty((n,) + z.shape, dtype=complex)
-    factors[0] = 1.0
-    factors[1:] = z
-    return np.cumprod(factors, axis=0)
-
-
-def _sample_kernel_backend(n: int, rng: Generator) -> np.ndarray:
-    # Sequential determinantal sampling: each new point is drawn from the
-    # diagonal of the projection kernel conditioned on the points found so
-    # far, by rejection against the uniform envelope K(theta,theta) = n/2pi.
-    # In the Fourier feature representation the conditioned diagonal at a
-    # proposal theta is (n - ||E^H feat(theta)||^2) / 2pi, where E holds an
-    # orthonormal basis of the accepted points' feature span, so the accept
-    # probability is (n - ||E^H feat||^2) / n.
-    pts = np.empty(n)
-    pts[0] = TWO_PI * rng.random()
-    if n == 1:
-        return pts
-    basis = np.empty((n, n - 1), dtype=complex)
-    basis[:, 0] = _fourier_features(pts[0], n) / math.sqrt(n)
-    m = 1
-    while m < n:
-        remaining = n - m
-        batch = 16 if 3 * remaining > n else min(4 * n, (3 * n) // remaining)
-        draws = rng.random(2 * batch)
-        props = TWO_PI * draws[:batch]
-        phi = _fourier_features(props, n)
-        coeff = basis[:, :m].conj().T @ phi
-        resid = n - np.einsum("ij,ij->j", coeff.conj(), coeff).real
-        accepted = np.flatnonzero(draws[batch:] * n < resid)
-        if accepted.size == 0:
-            continue
-        b = int(accepted[0])
-        w = phi[:, b] - basis[:, :m] @ coeff[:, b]
-        # second orthogonalization pass keeps the basis orthonormal at
-        # machine precision as m grows
-        w -= basis[:, :m] @ (basis[:, :m].conj().T @ w)
-        norm = np.linalg.norm(w)
-        pts[m] = props[b]
-        if m < n - 1:
-            basis[:, m] = w / norm
-        m += 1
-    pts.sort()
-    return pts
-
-
 def _sample_qr_backend(n: int, rng: Generator) -> np.ndarray:
     # Haar unitary from QR of a complex Ginibre matrix; multiplying the
     # columns of Q by the phases of diag(R) makes the factorization unique
@@ -329,7 +279,7 @@ def _sample_verblunsky_backend(n: int, rng: Generator) -> VerblunskySample:
     return VerblunskySample(n=n, alphas=radii * np.exp(TWO_PI * 1j * u[n - 1 :]))
 
 
-def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample | VerblunskySample:
+def sample_cue(n: int, stream, backend: str = "qr") -> EigenSample | VerblunskySample:
     """Draw one n x n Haar unitary, as eigenangles or Verblunsky coefficients.
 
     Parameters
@@ -338,25 +288,21 @@ def sample_cue(n: int, stream, backend: str = "kernel") -> EigenSample | Verblun
         Matrix size (>= 1).
     stream : RngStream | numpy Generator | int
         Source of randomness; an int is treated as a seed.
-    backend : {"kernel", "qr", "verblunsky"}
-        "kernel" (default) samples the determinantal point process directly
-        through its projection kernel and never materializes a matrix;
-        "qr" diagonalizes a Haar unitary built by QR of a Ginibre matrix.
-        Both return an EigenSample.  "verblunsky" draws the n independent
-        Verblunsky coefficients of Killip & Nenciu and returns a
-        VerblunskySample, which evaluates p_n and the traces by the Szego
-        recursion with no eigensolve and has no angles.  It reads the stream
-        once, u = rng.random(2n - 1): u[0..n-2] give the moduli of
-        alpha_0..alpha_{n-2} and u[n-1..2n-2] the phases of
-        alpha_0..alpha_{n-1}.  All three agree in law and are
+    backend : {"qr", "verblunsky"}
+        "qr" (default) diagonalizes a Haar unitary built by QR of a Ginibre
+        matrix (Mezzadri, Notices AMS 2007) and returns an EigenSample.
+        "verblunsky" draws the n independent Verblunsky coefficients of
+        Killip & Nenciu and returns a VerblunskySample, which evaluates p_n
+        and the traces by the Szego recursion with no eigensolve and has no
+        angles.  It reads the stream once, u = rng.random(2n - 1): u[0..n-2]
+        give the moduli of alpha_0..alpha_{n-2} and u[n-1..2n-2] the phases
+        of alpha_0..alpha_{n-1}.  The two agree in law and are
         cross-validated by the test suite.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = as_generator(stream)
-    if backend == "kernel":
-        return EigenSample(n=n, angles=_sample_kernel_backend(n, rng))
     if backend == "qr":
         return EigenSample(n=n, angles=_sample_qr_backend(n, rng))
     if backend == "verblunsky":

@@ -47,10 +47,12 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Parameters of a registry run; None fields take experiment defaults.
 
-    ``workers`` is validated (>= 1) but has no effect: samples are always
-    evaluated serially.  ``backend`` is the sample_cue backend of every
-    sampled experiment; the default "verblunsky" draws p_n and the traces
-    with no eigensolve, while "kernel" and "qr" sample eigenangles.
+    ``backend`` is the sample_cue backend of every sampled experiment: the
+    default "verblunsky" draws p_n and the traces with no eigensolve, and
+    "qr" samples eigenangles.  ``workers`` has no effect (samples are always
+    evaluated serially) and is left out of the report; it is still validated
+    (>= 1) only because the benchmark's workloads (bench/workloads.py) pass
+    workers=2, and it goes when the benchmark's next change drops that.
     """
 
     experiment: str
@@ -75,7 +77,7 @@ _DEFAULTS = {
     "coeff-variance": dict(n=64, k=4, alpha=0.0, beta=0.0, samples=20000, grid_size=0),
 }
 
-_BACKENDS = ("verblunsky", "kernel", "qr")
+_BACKENDS = ("verblunsky", "qr")
 
 _GAUSSIAN_MOMENTS = (0.0, 0.5, 0.0, 0.75)
 

@@ -5,10 +5,9 @@ samples serially in index order, so results depend only on the seed.
 Failed evaluations (e.g. a quadrature node landing on an eigenangle) are
 retried on a shifted substream and counted; a run aborts if failures stop
 looking like measure-zero accidents.  Every sampled quantity in the package
-goes through ``mc_map``; ``run_mc`` and ``run_mc_detailed`` reduce it to a
-mean and a standard error.  There is no worker pool: threads compete with
-the BLAS threads inside each draw and made runs slower, so the ``workers``
-arguments still accepted elsewhere have no effect.
+goes through ``mc_map``; ``run_mc_detailed`` reduces it to a mean and a
+standard error.  There is no worker pool: threads compete with the BLAS
+threads inside each draw and made runs slower.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "MCFailureError",
     "as_generator",
     "mc_map",
-    "run_mc",
     "run_mc_detailed",
     "ks_distance",
 ]
@@ -184,26 +182,11 @@ def run_mc_detailed(
     """
     samples = int(samples)
     if samples < 2:
-        raise ValueError(f"run_mc requires samples >= 2, got {samples}")
+        raise ValueError(f"run_mc_detailed requires samples >= 2, got {samples}")
     values, stats = mc_map(functional, samples, seed)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, count=samples), stats
-
-
-def run_mc(
-    functional: Callable[[RngStream], float],
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> MCEstimate:
-    """Like run_mc_detailed but returning only the estimate.
-
-    ``workers`` is accepted for compatibility and has no effect: samples are
-    always evaluated serially.
-    """
-    estimate, _ = run_mc_detailed(functional, samples, seed)
-    return estimate
 
 
 def ks_distance(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:

@@ -26,7 +26,7 @@ from scipy.linalg import lu_factor, toeplitz as _toeplitz_matrix
 
 from .cue import ExponentPair, SingularityError, sample_cue
 from .grids import TWO_PI, grid_series, trig_series
-from .montecarlo import MCEstimate, RngStream, run_mc
+from .montecarlo import MCEstimate, RngStream, run_mc_detailed
 
 __all__ = [
     "Singularity",
@@ -329,15 +329,14 @@ def heine_szego_check(
     n: int,
     samples: int,
     stream,
-    workers: int = 1,
 ) -> tuple[MCEstimate, float]:
     """Monte Carlo E prod_k f(theta_k) next to the exact determinant D_{n-1}(f).
 
     The expectation of the product of symbol values over the n eigenangles
     equals the n x n Toeplitz determinant of the symbol.  Only the real part
     of the product enters the estimate (the validation symbols are real).
-    n is capped at 16: the product estimator's variance grows exponentially.
-    ``workers`` is accepted for compatibility and has no effect.
+    The eigenangles come from sample_cue's default "qr" backend.  n is
+    capped at 16: the product estimator's variance grows exponentially.
     """
     n = int(n)
     if not 1 <= n <= 16:
@@ -353,6 +352,6 @@ def heine_szego_check(
         draw = sample_cue(n, s)
         return float(np.prod(symbol_eval(spec, draw.angles)).real)
 
-    estimate = run_mc(functional, samples, seed)
+    estimate, _ = run_mc_detailed(functional, samples, seed)
     det = toeplitz_logdet(fourier_coeffs(spec, n - 1), n)
     return estimate, float(cmath.exp(det.log_det).real)

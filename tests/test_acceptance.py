@@ -3,8 +3,9 @@
 Each test prints "A<i> <name>: PASS/FAIL (<measured detail>)" and asserts the
 criterion.  Monte Carlo tests use fixed seeds, so every run evaluates the
 same draws; backends and sample counts are chosen to fit the documented
-runtime budgets (the two expensive ones, A9 and A10, use the experiment
-registry).
+runtime budgets.  The expensive ones are A2 (10^5 draws from each of the two
+samplers), A10 and A6 (10^5 draws each); A3, A9 and A10 run through the
+experiment registry.
 """
 
 import cmath
@@ -36,6 +37,8 @@ from cuechaos import (
     variance_integral,
 )
 
+from cmv_oracle import eigen_oracle
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -66,28 +69,34 @@ def test_A1_special_function_recurrences():
 
 
 def test_A2_sampler_backend_cross_validation():
+    # the two independent exact samplers: Killip-Nenciu Verblunsky
+    # coefficients (traces by the Szego recursion, spacings from the
+    # eigenangles of the CMV matrix of the same draw) against Ginibre QR
     n, samples = 16, 100_000
 
-    def collector(backend):
-        def functional(stream):
-            smp = sample_cue(n, stream, backend)
-            tr = trace_powers(smp, 3)
-            spacings = np.diff(smp.angles, append=smp.angles[0] + TWO_PI)
-            return np.concatenate([np.abs(tr.traces) ** 2, spacings * (n / TWO_PI)])
+    def statistics(traces, angles):
+        spacings = np.diff(angles, append=angles[0] + TWO_PI)
+        return np.concatenate([np.abs(traces) ** 2, spacings * (n / TWO_PI)])
 
-        return functional
+    def from_verblunsky(stream):
+        smp = sample_cue(n, stream, "verblunsky")
+        return statistics(trace_powers(smp, 3).traces, eigen_oracle(smp).angles)
 
-    kernel, _ = mc_map(collector("kernel"), samples, seed=100, dim=3 + n)
-    ginibre, _ = mc_map(collector("qr"), samples, seed=200, dim=3 + n)
+    def from_qr(stream):
+        smp = sample_cue(n, stream, "qr")
+        return statistics(trace_powers(smp, 3).traces, smp.angles)
+
+    verblunsky, _ = mc_map(from_verblunsky, samples, seed=100, dim=3 + n)
+    ginibre, _ = mc_map(from_qr, samples, seed=200, dim=3 + n)
 
     moment_ok = True
     gaps = []
     for j in range(3):
-        a, b = kernel[:, j], ginibre[:, j]
+        a, b = verblunsky[:, j], ginibre[:, j]
         se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(samples)
         gaps.append(abs(a.mean() - b.mean()) / se)
         moment_ok = moment_ok and abs(a.mean() - b.mean()) <= 3.0 * se
-    ks = ks_distance(kernel[:, 3:].ravel(), ginibre[:, 3:].ravel())
+    ks = ks_distance(verblunsky[:, 3:].ravel(), ginibre[:, 3:].ravel())
     ok = moment_ok and ks < 0.02
     _verdict(
         "A2 sampler backend cross-validation",
@@ -98,7 +107,7 @@ def test_A2_sampler_backend_cross_validation():
 
 def test_A3_moment_identity():
     report = run_experiment(
-        ExperimentConfig("moment-mc", n=8, alpha=1.0, beta=0.5, samples=100_000, workers=4)
+        ExperimentConfig("moment-mc", n=8, alpha=1.0, beta=0.5, samples=100_000)
     )
     row = report["rows"][0]
     sigma_gap = abs(row["estimate"] - row["oracle"]) / row["stderr"]
@@ -150,7 +159,7 @@ def test_A5_two_singularity_asymptotics():
 
 def test_A6_heine_szego_product():
     spec = SymbolSpec({1: 0.3, -1: 0.3}, ())
-    estimate, det = heine_szego_check(spec, 6, 100_000, RngStream(606, 0), workers=4)
+    estimate, det = heine_szego_check(spec, 6, 100_000, RngStream(606, 0))
     sigma_gap = abs(estimate.mean - det) / estimate.stderr
     _verdict(
         "A6 Heine-Szego product",
@@ -187,7 +196,7 @@ def test_A8_variance_kernel_decay():
 
 
 def test_A9_total_mass_law_agreement():
-    report = run_experiment(ExperimentConfig("mass-ks", workers=4))
+    report = run_experiment(ExperimentConfig("mass-ks"))
     ks_row = next(r for r in report["rows"] if "KS" in r["check"])
     _verdict(
         "A9 total-mass law agreement",
@@ -199,7 +208,7 @@ def test_A9_total_mass_law_agreement():
 def test_A10_field_coefficient_variance():
     # the criterion is backend-agnostic, so it runs at the registry default
     report = run_experiment(
-        ExperimentConfig("coeff-variance", n=64, k=4, samples=100_000, workers=4)
+        ExperimentConfig("coeff-variance", n=64, k=4, samples=100_000)
     )
     gaps = [
         abs(r["estimate"] - r["oracle"]) / r["stderr"] for r in report["rows"]

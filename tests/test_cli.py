@@ -63,7 +63,7 @@ def test_run_summaries_describe_the_run(tmp_path):
     main(["sample-cue", "--n", "4", "--samples", "2", "--seed", "7", "--out", str(out)])
     summary = json.loads((out / "sample_cue_summary.json").read_text(encoding="utf-8"))
     assert summary["command"] == "sample-cue"
-    assert summary["parameters"] == {"n": 4, "samples": 2, "seed": 7, "backend": "kernel"}
+    assert summary["parameters"] == {"n": 4, "samples": 2, "seed": 7}
     assert summary["files"] == ["cue_sample_0000.csv", "cue_sample_0001.csv"]
     assert summary["build"].startswith("cuechaos-")
 
@@ -206,8 +206,19 @@ def test_bad_sizes_rejected(tmp_path):
         (["toeplitz-det", "--sizes", "2000"], {"v_coeffs": {"0": 0.0}}),
         (["sample-cue", "--n", "0"], None),
         (["fh-asymptotics"], {"singularities": [{"location": 1.0, "alpha": -0.5}]}),
+        (["toeplitz-det"], {"sigma": {"theta": 0.0, "alpha": 0.5}}),
+        (["toeplitz-det"], {"singularities": [{"alpha": 0.5}]}),
+        (["fh-asymptotics"], {"singularities": {"a": 1}}),
     ],
-    ids=["gmc-sample-nyquist", "toeplitz-det-size-cap", "sample-cue-n0", "fh-asymptotics-alpha"],
+    ids=[
+        "gmc-sample-nyquist",
+        "toeplitz-det-size-cap",
+        "sample-cue-n0",
+        "fh-asymptotics-alpha",
+        "toeplitz-det-sigma-no-which",
+        "toeplitz-det-no-location",
+        "fh-asymptotics-singularities-object",
+    ],
 )
 def test_bad_input_exits_with_error_message(tmp_path, argv, symbol):
     # library ValueErrors (ConfigError, DomainError, ...) end in one line, not a traceback
@@ -227,9 +238,14 @@ def test_experiment_defaults_to_the_registry_backend(tmp_path):
     assert payload["config"]["backend"] == "verblunsky"
 
 
-def test_sample_cue_rejects_the_verblunsky_backend(capsys):
-    # sample-cue exports eigenangles, which a Verblunsky draw does not have
-    with pytest.raises(SystemExit) as info:
-        main(["sample-cue", "--backend", "verblunsky"])
-    assert info.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+def test_sample_cue_rejects_the_verblunsky_backend():
+    # sample-cue exports eigenangles from its one sampler and takes no
+    # --backend; the experiment subcommand takes no --workers
+    for argv in (
+        ["sample-cue", "--backend", "verblunsky"],
+        ["sample-cue", "--backend", "qr"],
+        ["experiment", "moment-mc", "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2

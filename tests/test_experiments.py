@@ -39,6 +39,7 @@ def test_field_validation_names_the_field():
         (ExperimentConfig("ef-limit", alpha=-1.5), "alpha"),
         (ExperimentConfig("ef-limit", workers=0), "workers"),
         (ExperimentConfig("ef-limit", backend="other"), "backend"),
+        (ExperimentConfig("ef-limit", backend="kernel"), "backend"),
     ]
     for config, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -124,7 +125,7 @@ def test_clt_traces_at_default_matrix_size():
     # order four are exactly Gaussian; reduced sample count and the direct
     # eigenvalue backend keep this affordable.
     config = ExperimentConfig(
-        experiment="clt-traces", n=32, k=4, samples=8000, seed=3, workers=2, backend="qr"
+        experiment="clt-traces", n=32, k=4, samples=8000, seed=3, backend="qr"
     )
     report = run_experiment(config)
     assert report["passed"] is True

@@ -1,9 +1,4 @@
-"""Tests for the reproducible Monte Carlo engine and the KS statistic.
-
-The worker-invariance checks are bitwise: samples are evaluated and reduced
-in index order, so the accepted-but-ignored worker count must not change a
-single ulp.
-"""
+"""Tests for the reproducible Monte Carlo engine and the KS statistic."""
 
 import numpy as np
 import pytest
@@ -17,7 +12,6 @@ from cuechaos import (
     as_generator,
     ks_distance,
     mc_map,
-    run_mc,
     run_mc_detailed,
 )
 
@@ -53,21 +47,10 @@ def test_substream_ids_disjoint_from_sample_ids():
 
 
 def test_run_mc_gaussian_mean():
-    est = run_mc(lambda s: s.generator().normal(), 4000, seed=1)
+    est, _ = run_mc_detailed(lambda s: s.generator().normal(), 4000, seed=1)
     assert abs(est.mean) < 4.0 * est.stderr
     assert est.count == 4000
     assert_allclose(est.stderr, 1.0 / np.sqrt(4000), rtol=0.1)
-
-
-def test_run_mc_worker_invariance_bitwise():
-    def functional(stream):
-        g = stream.generator()
-        return float(np.sin(g.random()) + g.normal())
-
-    serial = run_mc(functional, 600, seed=9, workers=1)
-    threaded = run_mc(functional, 600, seed=9, workers=8)
-    assert serial.mean == threaded.mean
-    assert serial.stderr == threaded.stderr
 
 
 def test_run_mc_retries_on_flaky_sample():
@@ -142,7 +125,7 @@ def test_as_generator_coercions():
 
 def test_run_mc_rejects_tiny_sample_count():
     with pytest.raises(ValueError):
-        run_mc(lambda s: 0.0, 1, seed=0)
+        run_mc_detailed(lambda s: 0.0, 1, seed=0)
 
 
 def test_unexpected_exception_propagates():
@@ -150,7 +133,7 @@ def test_unexpected_exception_propagates():
         raise ZeroDivisionError("not retryable")
 
     with pytest.raises(ZeroDivisionError):
-        run_mc(bad, 10, seed=0)
+        run_mc_detailed(bad, 10, seed=0)
 
 
 def test_ks_distance_tiny_case_by_hand():
@@ -181,7 +164,7 @@ def test_ks_distance_with_ties_matches_scipy():
 
 
 def test_run_mc_constant_functional():
-    est = run_mc(lambda stream: 3.25, 50, seed=9)
+    est, _ = run_mc_detailed(lambda stream: 3.25, 50, seed=9)
     assert est.mean == 3.25
     assert est.stderr == 0.0
     assert est.count == 50
@@ -197,7 +180,7 @@ def test_run_mc_recovers_gamma_product_mean():
     def functional(stream):
         return f_value(sample_cue(8, stream), 0.0, p)
 
-    est = run_mc(functional, 4000, seed=17, workers=2)
+    est, _ = run_mc_detailed(functional, 4000, seed=17)
     assert abs(est.mean - exact_mean_f(8, p)) < 4.0 * est.stderr
 
 

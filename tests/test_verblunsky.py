@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from cuechaos import (
-    EigenSample,
     ExponentPair,
     RngStream,
     SingularityError,
@@ -33,39 +32,12 @@ from cuechaos import (
     uniform_grid,
 )
 
+from cmv_oracle import eigen_oracle
+
 TWO_PI = 2.0 * math.pi
 ORACLE_ATOL = 1e-9
 LAW_DRAWS = 20_000
 KS_BOUND = math.sqrt(math.log(2.0 / 1e-3) / 2.0) * math.sqrt(2.0 / LAW_DRAWS)
-
-
-def _cmv_matrix(alphas: np.ndarray) -> np.ndarray:
-    """C = L M with L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ...
-    (direct sums), Theta_k = [[conj a_k, rho_k], [rho_k, -a_k]], and the last
-    block the 1 x 1 [conj a_{n-1}]; det(z - C) = Phi_n(z)."""
-    n = alphas.size
-
-    def blocks(first: int) -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
-        if first == 1:
-            out[0, 0] = 1.0
-        for k in range(first, n, 2):
-            a = alphas[k]
-            if k == n - 1:
-                out[k, k] = np.conj(a)
-            else:
-                rho = math.sqrt(1.0 - abs(a) ** 2)
-                out[k : k + 2, k : k + 2] = [[np.conj(a), rho], [rho, -a]]
-        return out
-
-    return blocks(0) @ blocks(1)
-
-
-def _eigen_oracle(sample: VerblunskySample) -> EigenSample:
-    cmv = _cmv_matrix(sample.alphas)
-    assert np.allclose(cmv @ cmv.conj().T, np.eye(sample.n), atol=1e-12)
-    angles = np.mod(np.angle(np.linalg.eigvals(cmv)), TWO_PI)
-    return EigenSample(sample.n, np.sort(angles))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 128])
@@ -73,7 +45,7 @@ def test_charpoly_matches_cmv_eigenangles(n):
     rng = np.random.default_rng(1000 + n)
     for draw in range(5):
         sample = sample_cue(n, RngStream(41, 10 * n + draw), "verblunsky")
-        oracle = _eigen_oracle(sample)
+        oracle = eigen_oracle(sample)
         for theta in rng.uniform(0.0, TWO_PI, 8):
             got = charpoly_log(sample, theta)
             want = charpoly_log(oracle, theta)
@@ -91,7 +63,7 @@ def test_traces_match_cmv_eigenangles(n):
     for draw in range(5):
         sample = sample_cue(n, RngStream(43, 10 * n + draw), "verblunsky")
         got = trace_powers(sample, 16).traces
-        want = trace_powers(_eigen_oracle(sample), 16).traces
+        want = trace_powers(eigen_oracle(sample), 16).traces
         assert np.max(np.abs(got - want)) <= ORACLE_ATOL
 
 
