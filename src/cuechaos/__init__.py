@@ -22,8 +22,6 @@ from .asymptotics import (
     DomainError,
     FHPrediction,
     fh_prediction,
-    merging_prediction,
-    szego_prediction,
     variance_integral,
     variance_kernel,
 )
@@ -145,9 +143,7 @@ __all__ = [
     # asymptotics
     "DomainError",
     "FHPrediction",
-    "szego_prediction",
     "fh_prediction",
-    "merging_prediction",
     "variance_kernel",
     "variance_integral",
     # experiments

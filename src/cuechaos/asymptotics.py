@@ -16,17 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cue import ExponentPair
 from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
-from .special import fh_constant, log_barnes_g
+from .special import log_barnes_g
 from .toeplitz import SymbolSpec
 
 __all__ = [
     "DomainError",
     "FHPrediction",
-    "szego_prediction",
     "fh_prediction",
-    "merging_prediction",
     "variance_kernel",
     "variance_integral",
 ]
@@ -52,39 +49,6 @@ class FHPrediction:
     def log_value(self) -> complex:
         """log_leading + principal log of the constant."""
         return self.log_leading + cmath.log(self.constant)
-
-
-def _pos_neg_orders(v_coeffs: dict) -> list[int]:
-    return sorted({abs(j) for j, v in v_coeffs.items() if v != 0 and j != 0})
-
-
-def _smooth_terms(v_coeffs: dict, n: int) -> tuple[complex, complex]:
-    """(n*V_0, sum_{k>=1} k V_k V_{-k}) for a finitely supported exponent."""
-    v0 = complex(v_coeffs.get(0, 0.0))
-    cross = 0.0 + 0.0j
-    for j in _pos_neg_orders(v_coeffs):
-        cross += j * complex(v_coeffs.get(j, 0.0)) * complex(v_coeffs.get(-j, 0.0))
-    return n * v0, cross
-
-
-def szego_prediction(v_coeffs: dict, n: int) -> float:
-    """Two-term strong-Szego prediction n*V_0 + sum_k k V_k V_{-k} for
-    log of the n x n determinant of e^{V}.
-
-    For real-valued exponents the cross sum is sum k |V_k|^2 and the result
-    is real; a residual imaginary part beyond roundoff raises.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    lead, cross = _smooth_terms(v_coeffs, n)
-    total = lead + cross
-    scale = max(1.0, abs(total))
-    if abs(total.imag) > 1e-10 * scale:
-        raise DomainError(
-            f"szego_prediction: exponent is not real-valued (imag {total.imag})"
-        )
-    return float(total.real)
 
 
 def _check_fh_domain(spec: SymbolSpec) -> None:
@@ -121,23 +85,27 @@ def fh_prediction(spec: SymbolSpec, n: int) -> FHPrediction:
     sum_k V_{-k} z_j^{-k}], the power sum_j (alpha_j^2 - beta_j^2) of n, the
     pair interaction |z_j - z_l|^{2(beta_j beta_l - alpha_j alpha_l)}
     (z_l / (z_j e^{i pi}))^{alpha_j beta_l - alpha_l beta_j}, and the Barnes
-    G constant per singularity.  With an empty singularity list this reduces
-    exactly to szego_prediction's code path.
+    G constant per singularity.  With no singularities this is the strong
+    Szego formula n V_0 + sum k V_k V_{-k} (regime "szego").  V is read in
+    the dense layout spec.v_dense and may be complex-valued.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_fh_domain(spec)
     sings = spec.singularities
-    lead_smooth, cross = _smooth_terms(spec.v_coeffs, n)
+    v = spec.v_dense
+    k = v.size // 2
+    orders = np.arange(1, k + 1)
+    # v[:k][::-1] lists V_{-1}, ..., V_{-k}; v[k-1::-1] would wrap round at k = 0
+    v_pos, v_neg = v[k + 1 :], v[:k][::-1]
+    lead_smooth = n * complex(v[k])
+    cross = complex(np.dot(orders, v_pos * v_neg))
 
     interaction = 0.0 + 0.0j
-    pos_orders = [j for j in sorted(spec.v_coeffs) if j > 0 and spec.v_coeffs[j] != 0]
-    neg_orders = [j for j in sorted(spec.v_coeffs) if j < 0 and spec.v_coeffs[j] != 0]
     for s in sings:
-        z = cmath.exp(1j * s.location)
-        sum_pos = sum(spec.v_coeffs[j] * z**j for j in pos_orders)
-        sum_neg = sum(spec.v_coeffs[j] * z**j for j in neg_orders)
+        sum_pos = complex(np.dot(v_pos, np.exp(1j * s.location * orders)))
+        sum_neg = complex(np.dot(v_neg, np.exp(-1j * s.location * orders)))
         interaction += (s.beta_jump - s.alpha_exp) * sum_pos
         interaction -= (s.alpha_exp + s.beta_jump) * sum_neg
 
@@ -167,35 +135,6 @@ def fh_prediction(spec: SymbolSpec, n: int) -> FHPrediction:
     constant = cmath.exp(rest + 1j * leading.imag)
     regime = "fh_general" if sings else "szego"
     return FHPrediction(log_leading=float(leading.real), constant=constant, regime=regime)
-
-
-def merging_prediction(n: int, delta: float, p: ExponentPair, t0: float = 0.5) -> float:
-    """Log-determinant prediction for two singularities (alpha/2, -i beta/2)
-    at separation delta, in the regime log n / n <= delta < 2 t0:
-
-        (g2/2) log n - (g2/2) log(2 sin(delta/2)) + 2 log fh_constant,
-
-    with g2 = alpha^2 + beta^2.  On its domain this coincides identically
-    with the two-singularity fh_prediction; t0 is a configurable threshold
-    (the asymptotic theorem only guarantees some sufficiently small t0 > 0).
-    """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    delta = float(delta)
-    lower = math.log(n) / n
-    upper = 2.0 * float(t0)
-    if not lower <= delta < upper:
-        raise DomainError(
-            f"merging_prediction requires log(n)/n = {lower:.3g} <= delta < "
-            f"2*t0 = {upper:.3g}, got delta={delta}"
-        )
-    g2 = p.gamma_sq
-    return (
-        0.5 * g2 * math.log(n)
-        - 0.5 * g2 * math.log(2.0 * math.sin(0.5 * delta))
-        + 2.0 * math.log(fh_constant(p.alpha, p.beta))
-    )
 
 
 def _cosine_coeffs(k: int) -> np.ndarray:

@@ -40,7 +40,6 @@ from pathlib import Path
 from .asymptotics import fh_prediction
 from .cue import ExponentPair, sample_cue
 from .experiments import (
-    _BACKENDS,
     ExperimentConfig,
     _format_cell,
     build_identifier,
@@ -114,12 +113,13 @@ def _write_summary(out_dir: str | None, command: str, parameters: dict, files: l
 
 
 def _complex_from_json(value, where: str) -> complex:
-    if isinstance(value, bool):
-        raise SystemExit(f"error: {where}: expected a number or [re, im], got {value!r}")
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
     raise SystemExit(f"error: {where}: expected a number or [re, im], got {value!r}")
 
 
@@ -165,10 +165,14 @@ def _symbol_from_json(data: dict) -> SymbolSpec:
             p,
             _json_number(s, "k", "sigma", 2000, int),
         )
-    v_coeffs = {
-        int(order): _complex_from_json(value, f"v_coeffs[{order}]")
-        for order, value in _json_object(data.get("v_coeffs", {}), "v_coeffs").items()
-    }
+    v_coeffs = {}
+    for order, value in _json_object(data.get("v_coeffs", {}), "v_coeffs").items():
+        where = f"v_coeffs[{order}]"
+        try:
+            j = int(order)
+        except ValueError as exc:
+            raise SystemExit(f"error: {where}: expected an integer order, got {order!r}") from exc
+        v_coeffs[j] = _complex_from_json(value, where)
     entries = data.get("singularities", [])
     if not isinstance(entries, list):
         raise SystemExit(f"error: singularities: expected a list of objects, got {entries!r}")
@@ -273,8 +277,17 @@ def _cmd_fh_asymptotics(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = ("n", "k", "alpha", "beta", "samples", "grid_size", "seed")
+
+
 def _cmd_experiment(args) -> int:
     base = _load_json(args.config) if args.config else {}
+    unknown = sorted(set(base) - set(_CONFIG_KEYS))
+    if unknown:
+        raise SystemExit(
+            f"error: config {args.config}: unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"recognized fields are {', '.join(_CONFIG_KEYS)}"
+        )
     overrides = {
         "n": args.n,
         "k": args.k,
@@ -295,7 +308,6 @@ def _cmd_experiment(args) -> int:
         samples=base.get("samples"),
         grid_size=base.get("grid_size"),
         seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
-        backend=str(args.backend or base.get("backend", ExperimentConfig.backend)),
     )
     report = run_experiment(config)
     for row in report["rows"]:
@@ -358,10 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--grid-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--backend", choices=_BACKENDS, default=None,
-        help=f"sampler backend (default {ExperimentConfig.backend})",
-    )
     p.add_argument("--out", metavar="DIR", help="write the JSON + CSV report here")
     p.set_defaults(func=_cmd_experiment)
     return parser

@@ -47,11 +47,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Parameters of a registry run; None fields take experiment defaults.
 
-    ``backend`` is the sample_cue backend of every sampled experiment: the
-    default "verblunsky" draws p_n and the traces with no eigensolve, and
-    "qr" samples eigenangles.  ``workers`` has no effect (samples are always
-    evaluated serially) and is left out of the report; it is still validated
-    (>= 1) only because the benchmark's workloads (bench/workloads.py) pass
+    Every sampled experiment draws Verblunsky coefficients
+    (sample_cue(n, stream, "verblunsky")), which give p_n and the traces with
+    no eigensolve.  ``workers`` has no effect (samples are always evaluated
+    serially) and is left out of the report; it is still validated (>= 1)
+    only because the benchmark's workloads (bench/workloads.py) pass
     workers=2, and it goes when the benchmark's next change drops that.
     """
 
@@ -65,7 +65,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     workers: int = 1
-    backend: str = "verblunsky"
 
 
 _DEFAULTS = {
@@ -76,8 +75,6 @@ _DEFAULTS = {
     "mass-ks": dict(n=128, k=128, alpha=1.0, beta=0.0, samples=2000, grid_size=1024),
     "coeff-variance": dict(n=64, k=4, alpha=0.0, beta=0.0, samples=20000, grid_size=0),
 }
-
-_BACKENDS = ("verblunsky", "qr")
 
 _GAUSSIAN_MOMENTS = (0.0, 0.5, 0.0, 0.75)
 
@@ -128,12 +125,9 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         seed=int(config.seed),
         out_dir=config.out_dir,
         workers=int(config.workers),
-        backend=str(config.backend),
     )
     if resolved.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {resolved.workers}")
-    if resolved.backend not in _BACKENDS:
-        raise ConfigError(f"backend: must be one of {_BACKENDS}, got {resolved.backend!r}")
     return resolved
 
 
@@ -173,7 +167,7 @@ def _run_clt_traces(cfg: ExperimentConfig) -> list[dict]:
     scale = 1.0 / np.sqrt(np.arange(1, j_max + 1))
 
     def functional(stream: RngStream) -> np.ndarray:
-        traces = trace_powers(sample_cue(cfg.n, stream, cfg.backend), j_max).traces * scale
+        traces = trace_powers(sample_cue(cfg.n, stream, "verblunsky"), j_max).traces * scale
         return np.concatenate([traces.real, traces.imag])
 
     values, _ = mc_map(functional, cfg.samples, cfg.seed, dim=2 * j_max)
@@ -210,7 +204,7 @@ def _run_ef_limit(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_kernel_decay(cfg: ExperimentConfig) -> list[dict]:
-    gamma_sq = cfg.alpha * cfg.alpha + cfg.beta * cfg.beta
+    gamma_sq = ExponentPair(cfg.alpha, cfg.beta).gamma_sq
     _require(gamma_sq < 2.0, "alpha", f"needs alpha^2 + beta^2 < 2, got {gamma_sq}")
     _require(cfg.k >= 8, "k", f"must be >= 8, got {cfg.k}")
     _require(cfg.grid_size >= 16 * cfg.k, "grid_size", f"must be >= 16*k = {16 * cfg.k}")
@@ -245,7 +239,7 @@ def _run_moment_mc(cfg: ExperimentConfig) -> list[dict]:
     p = ExponentPair(cfg.alpha, cfg.beta)
 
     def functional(stream: RngStream) -> float:
-        return f_value(sample_cue(cfg.n, stream, cfg.backend), 0.0, p)
+        return f_value(sample_cue(cfg.n, stream, "verblunsky"), 0.0, p)
 
     estimate, stats = run_mc_detailed(functional, cfg.samples, cfg.seed)
     oracle = exact_mean_f(cfg.n, p)
@@ -265,17 +259,16 @@ def _run_moment_mc(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_mass_ks(cfg: ExperimentConfig) -> list[dict]:
     _require(cfg.alpha > -0.5, "alpha", f"main-theorem domain needs alpha > -1/2, got {cfg.alpha}")
-    gamma_sq = cfg.alpha * cfg.alpha + cfg.beta * cfg.beta
-    _require(gamma_sq < 2.0, "beta", f"main-theorem domain needs alpha^2 + beta^2 < 2, got {gamma_sq}")
+    p = ExponentPair(cfg.alpha, cfg.beta)
+    _require(p.gamma_sq < 2.0, "beta", f"main-theorem domain needs alpha^2 + beta^2 < 2, got {p.gamma_sq}")
     _require(cfg.samples >= 2, "samples", f"must be >= 2, got {cfg.samples}")
     _require(cfg.grid_size >= 4 * cfg.n, "grid_size", f"must be >= 4*n = {4 * cfg.n}")
     _require(cfg.grid_size >= 2 * cfg.k + 1, "grid_size", f"must be >= 2*k+1 = {2 * cfg.k + 1}")
-    p = ExponentPair(cfg.alpha, cfg.beta)
-    beta_chaos = math.sqrt(gamma_sq)
+    beta_chaos = math.sqrt(p.gamma_sq)
     grid = uniform_grid(cfg.grid_size)
 
     def cue_mass(stream: RngStream) -> float:
-        return integrate_f(sample_cue(cfg.n, stream, cfg.backend), 1.0, p, grid)
+        return integrate_f(sample_cue(cfg.n, stream, "verblunsky"), 1.0, p, grid)
 
     def gmc_mass(stream: RngStream) -> float:
         return chaos_measure(gaussian_draw(cfg.k, stream), beta_chaos, grid).total_mass
@@ -324,7 +317,7 @@ def _run_coeff_variance(cfg: ExperimentConfig) -> list[dict]:
 
     def functional(stream: RngStream) -> np.ndarray:
         coeffs = field_coeffs_from_traces(
-            trace_powers(sample_cue(cfg.n, stream, cfg.backend), j_max)
+            trace_powers(sample_cue(cfg.n, stream, "verblunsky"), j_max)
         )
         return np.abs(coeffs) ** 2
 

@@ -76,9 +76,9 @@ class Singularity:
 class SymbolSpec:
     """Trig-polynomial exponent coefficients plus a singularity list.
 
-    v_coeffs maps integer order j to V_j; for a real-valued exponent the
-    coefficients satisfy V_{-j} = conj(V_j) (checked by has_real_exponent,
-    not enforced at construction).
+    v_coeffs maps integer order j to V_j, and v_dense lays them out densely.
+    For a real-valued exponent the coefficients satisfy V_{-j} = conj(V_j);
+    this is not enforced, and complex-valued exponents are allowed.
     """
 
     v_coeffs: dict = field(default_factory=dict)
@@ -100,18 +100,15 @@ class SymbolSpec:
                     )
 
     @property
-    def max_v_order(self) -> int:
-        nonzero = [abs(j) for j, v in self.v_coeffs.items() if v != 0]
-        return max(nonzero) if nonzero else 0
-
-    def v(self, j: int) -> complex:
-        return self.v_coeffs.get(int(j), 0.0 + 0.0j)
-
-    def has_real_exponent(self, tol: float = 1e-12) -> bool:
-        orders = {abs(j) for j in self.v_coeffs}
-        return all(
-            abs(self.v(j) - self.v(-j).conjugate()) <= tol for j in orders
-        )
+    def v_dense(self) -> np.ndarray:
+        """V in the dense layout v_dense[k + j] = V_j of grids, k the
+        largest order with V_j != 0 (the array [0] when V = 0)."""
+        k = max((abs(j) for j, v in self.v_coeffs.items() if v != 0), default=0)
+        dense = np.zeros(2 * k + 1, dtype=complex)
+        for j, v in self.v_coeffs.items():
+            if abs(j) <= k:
+                dense[k + j] = v
+        return dense
 
 
 @dataclass(frozen=True)
@@ -149,12 +146,6 @@ class FourierCoeffs:
     __getitem__ = get
 
 
-def _exponent_coeffs(spec: SymbolSpec) -> np.ndarray:
-    """V in the dense layout coeffs[k + j] = V_j, k = spec.max_v_order."""
-    k = spec.max_v_order
-    return np.array([spec.v(j) for j in range(-k, k + 1)])
-
-
 def symbol_eval(spec: SymbolSpec, phi):
     """Evaluate the symbol at angle(s) phi; scalar in, scalar out.
 
@@ -166,7 +157,7 @@ def symbol_eval(spec: SymbolSpec, phi):
     """
     scalar = np.isscalar(phi) or np.asarray(phi).ndim == 0
     phi_arr = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), TWO_PI)
-    value = np.exp(trig_series(_exponent_coeffs(spec), phi_arr))
+    value = np.exp(trig_series(spec.v_dense, phi_arr))
     beta_sum = sum((s.beta_jump for s in spec.singularities), 0.0 + 0.0j)
     if beta_sum != 0:
         value = value * np.exp(1j * beta_sum * phi_arr)
@@ -282,7 +273,7 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
                 break
     nodes = np.arange(fft_size) * step + offset
     values = symbol_eval(SymbolSpec({}, spec.singularities), nodes)
-    exponent = _exponent_coeffs(spec)
+    exponent = spec.v_dense
     if np.any(exponent != 0):
         values *= np.exp(grid_series(exponent, fft_size, offset))
     transform = np.fft.fft(values)

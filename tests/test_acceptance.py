@@ -206,7 +206,8 @@ def test_A9_total_mass_law_agreement():
 
 
 def test_A10_field_coefficient_variance():
-    # the criterion is backend-agnostic, so it runs at the registry default
+    # the criterion holds for any exact CUE sampler, so it runs on the
+    # registry's Verblunsky draws
     report = run_experiment(
         ExperimentConfig("coeff-variance", n=64, k=4, samples=100_000)
     )

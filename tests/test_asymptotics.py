@@ -1,10 +1,10 @@
 """Tests for determinant asymptotics and the variance kernel.
 
-The leading checks are cross-module identities: the general prediction must
-collapse to the pure-smooth formula when no singularity is present, to the
-Barnes-ratio constant for one singularity, and to the merging-regime formula
-for the symmetric two-singularity symbol.  Each route is computed by
-independent code paths.
+The leading checks hold the one Fisher-Hartwig prediction to closed forms
+written out by hand: the strong Szego sum n V_0 + sum k V_k V_{-k} when no
+singularity is present (complex V included), the Barnes-ratio constant for
+one singularity, and (g2/2)(log n - log 2 sin(delta/2)) + 2 log fh_constant
+for the symmetric two-singularity symbol.
 """
 
 import cmath
@@ -22,8 +22,6 @@ from cuechaos import (
     fh_constant,
     fh_prediction,
     make_sigma,
-    merging_prediction,
-    szego_prediction,
     toeplitz_logdet,
     fourier_coeffs,
     uniform_grid,
@@ -34,23 +32,25 @@ from cuechaos import (
 TWO_PI = 2.0 * math.pi
 
 
-def test_szego_prediction_hand_formula():
+def test_fh_prediction_szego_hand_formula():
     # n v_0 + sum_k k v_k v_{-k}
     v = {0: 0.2, 1: 0.3, -1: 0.3, 2: 0.1, -2: 0.05}
     expected = 10 * 0.2 + 1 * 0.09 + 2 * 0.1 * 0.05
-    assert_allclose(szego_prediction(v, 10), expected, rtol=1e-14)
+    assert_allclose(fh_prediction(SymbolSpec(v, ()), 10).log_value, expected, rtol=1e-14)
 
 
-def test_szego_prediction_requires_real_result():
-    with pytest.raises(DomainError):
-        szego_prediction({1: 0.3, -1: 0.4j}, 8)
+def test_fh_prediction_szego_complex_exponent():
+    # the formula holds for complex-valued V: here sum k V_k V_{-k} = 0.12i
+    pred = fh_prediction(SymbolSpec({1: 0.3, -1: 0.4j}, ()), 8)
+    assert_allclose(pred.log_value, 0.12j, rtol=1e-14)
 
 
 def test_fh_prediction_empty_singularities_matches_szego():
     v = {0: 0.1, 1: 0.25, -1: 0.25, 3: 0.02, -3: 0.02}
     pred = fh_prediction(SymbolSpec(v, ()), 40)
     assert pred.regime == "szego"
-    assert_allclose(pred.log_value.real, szego_prediction(v, 40), rtol=1e-13)
+    expected = 40 * 0.1 + 1 * 0.25 * 0.25 + 3 * 0.02 * 0.02
+    assert_allclose(pred.log_value.real, expected, rtol=1e-13)
     assert abs(pred.log_value.imag) < 1e-13
 
 
@@ -68,13 +68,17 @@ def test_fh_prediction_single_singularity_closed_form():
 
 
 def test_fh_prediction_matches_merging_for_sigma3():
-    p = ExponentPair(0.7, 0.4)
-    n, delta = 100, 0.8
-    spec = make_sigma(3, 1.0, 1.0 + delta, p, 0)
-    via_fh = fh_prediction(spec, n).log_value
-    via_merge = merging_prediction(n, delta, p)
-    assert_allclose(via_fh.real, via_merge, rtol=1e-12)
-    assert abs(via_fh.imag) < 1e-10
+    # two singularities (alpha/2, -i beta/2) at separation delta:
+    # (g2/2)(log n - log 2 sin(delta/2)) + 2 log fh_constant(alpha, beta)
+    cases = [(ExponentPair(0.7, 0.4), 100, 0.8, 1e-12), (ExponentPair(1.0, 0.0), 64, 0.5, 1e-13)]
+    for p, n, delta, rtol in cases:
+        spec = make_sigma(3, 1.0, 1.0 + delta, p, 0)
+        via_fh = fh_prediction(spec, n).log_value
+        expected = 0.5 * p.gamma_sq * (
+            math.log(n) - math.log(2.0 * math.sin(0.5 * delta))
+        ) + 2.0 * math.log(fh_constant(p.alpha, p.beta))
+        assert_allclose(via_fh.real, expected, rtol=rtol)
+        assert abs(via_fh.imag) < 1e-10
 
 
 def test_fh_prediction_against_exact_determinant_smooth_plus_jump():
@@ -98,24 +102,6 @@ def test_fh_prediction_domain_errors():
         )
     with pytest.raises(DomainError):  # G(1 + alpha - beta) pole at 0
         fh_prediction(SymbolSpec({}, (Singularity(0.0, 0.0, 1.0),)), 10)
-
-
-def test_merging_prediction_hand_formula():
-    p = ExponentPair(1.0, 0.0)
-    n, delta = 64, 0.5
-    expected = 0.5 * (math.log(n) - math.log(2.0 * math.sin(delta / 2.0))) + 2.0 * math.log(
-        fh_constant(1.0, 0.0)
-    )
-    assert_allclose(merging_prediction(n, delta, p), expected, rtol=1e-13)
-
-
-def test_merging_prediction_domain():
-    p = ExponentPair(1.0, 0.0)
-    with pytest.raises(DomainError):
-        merging_prediction(64, math.log(64) / 64 * 0.5, p)  # below log n / n
-    with pytest.raises(DomainError):
-        merging_prediction(64, 1.1, p, t0=0.5)  # at or above 2 t0
-    assert np.isfinite(merging_prediction(64, 0.9, p, t0=0.5))
 
 
 def test_variance_kernel_definition():
@@ -171,7 +157,7 @@ def test_variance_integral_accepts_callable_weight():
     assert_allclose(call, const, rtol=1e-12)
 
 
-def test_szego_prediction_sigma1_diagonal_harmonic_sum():
+def test_fh_prediction_sigma1_diagonal_harmonic_sum():
     # sigma1 at theta = theta' has V_j = -(alpha - i beta) e^{-ij theta}/j, so
     # sum j V_j V_{-j} = (alpha^2 + beta^2) H_k with no n-dependent term.
     p = ExponentPair(0.7, 0.4)
@@ -180,7 +166,7 @@ def test_szego_prediction_sigma1_diagonal_harmonic_sum():
     harmonic = sum(1.0 / j for j in range(1, k + 1))
     expected = (p.alpha**2 + p.beta**2) * harmonic
     for n in (4, 64):
-        assert_allclose(szego_prediction(spec.v_coeffs, n), expected, rtol=1e-12)
+        assert_allclose(fh_prediction(SymbolSpec(spec.v_coeffs, ()), n).log_value, expected, rtol=1e-12)
 
 
 def test_fh_prediction_exponent_two_ratio_approaches_one():

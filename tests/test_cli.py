@@ -3,6 +3,9 @@ agreement with direct library calls, and reproducible output."""
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from cuechaos import (
     toeplitz_logdet,
     uniform_grid,
 )
-from cuechaos.cli import main
+from cuechaos.cli import _build_parser, main
 
 
 def _read_csv(path):
@@ -231,21 +234,50 @@ def test_bad_input_exits_with_error_message(tmp_path, argv, symbol):
     assert str(info.value.code).startswith("error:")
 
 
-def test_experiment_defaults_to_the_registry_backend(tmp_path):
-    out = tmp_path / "rep"
-    main(["experiment", "moment-mc", "--n", "4", "--samples", "4", "--out", str(out)])
-    payload = json.loads((out / "moment-mc.json").read_text(encoding="utf-8"))
-    assert payload["config"]["backend"] == "verblunsky"
-
-
 def test_sample_cue_rejects_the_verblunsky_backend():
     # sample-cue exports eigenangles from its one sampler and takes no
-    # --backend; the experiment subcommand takes no --workers
+    # --backend; the experiment subcommand takes neither --workers nor
+    # --backend (the registry always draws Verblunsky coefficients)
     for argv in (
         ["sample-cue", "--backend", "verblunsky"],
         ["sample-cue", "--backend", "qr"],
         ["experiment", "moment-mc", "--workers", "2"],
+        ["experiment", "moment-mc", "--backend", "qr"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, payload, names",
+    [
+        (["experiment", "ef-limit"], {"samples_": 10, "backend": "qr"}, ["'samples_'", "'backend'"]),
+        (["toeplitz-det"], {"v_coeffs": {"x": 1}}, ["v_coeffs[x]"]),
+        (["toeplitz-det"], {"v_coeffs": {"1": ["a", 0]}}, ["v_coeffs[1]"]),
+    ],
+    ids=["experiment-unknown-keys", "v-coeffs-order", "v-coeffs-value"],
+)
+def test_bad_json_field_is_named(tmp_path, argv, payload, names):
+    config = tmp_path / "input.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(config)])
+    message = str(info.value.code)
+    assert message.startswith("error:")
+    for name in names:
+        assert name in message, message
+
+
+def test_readme_commands_parse():
+    # every `cuechaos ...` line of the README's sh blocks is a valid command
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("cuechaos ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
