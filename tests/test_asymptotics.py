@@ -70,15 +70,27 @@ def test_fh_prediction_single_singularity_closed_form():
 def test_fh_prediction_matches_merging_for_sigma3():
     # two singularities (alpha/2, -i beta/2) at separation delta:
     # (g2/2)(log n - log 2 sin(delta/2)) + 2 log fh_constant(alpha, beta)
-    cases = [(ExponentPair(0.7, 0.4), 100, 0.8, 1e-12), (ExponentPair(1.0, 0.0), 64, 0.5, 1e-13)]
-    for p, n, delta, rtol in cases:
-        spec = make_sigma(3, 1.0, 1.0 + delta, p, 0)
-        via_fh = fh_prediction(spec, n).log_value
-        expected = 0.5 * p.gamma_sq * (
-            math.log(n) - math.log(2.0 * math.sin(0.5 * delta))
-        ) + 2.0 * math.log(fh_constant(p.alpha, p.beta))
-        assert_allclose(via_fh.real, expected, rtol=rtol)
-        assert abs(via_fh.imag) < 1e-10
+    p = ExponentPair(0.7, 0.4)
+    n, delta = 100, 0.8
+    spec = make_sigma(3, 1.0, 1.0 + delta, p, 0)
+    via_fh = fh_prediction(spec, n).log_value
+    expected = 0.5 * p.gamma_sq * (
+        math.log(n) - math.log(2.0 * math.sin(0.5 * delta))
+    ) + 2.0 * math.log(fh_constant(p.alpha, p.beta))
+    assert_allclose(via_fh.real, expected, rtol=1e-12)
+    assert abs(via_fh.imag) < 1e-10
+
+
+def test_merging_prediction_hand_formula():
+    # the merging-regime formula at alpha = 1, beta = 0, where g2 = 1
+    p = ExponentPair(1.0, 0.0)
+    n, delta = 64, 0.5
+    expected = 0.5 * (math.log(n) - math.log(2.0 * math.sin(delta / 2.0))) + 2.0 * math.log(
+        fh_constant(1.0, 0.0)
+    )
+    via_fh = fh_prediction(make_sigma(3, 1.0, 1.0 + delta, p, 0), n).log_value
+    assert_allclose(via_fh.real, expected, rtol=1e-13)
+    assert abs(via_fh.imag) < 1e-10
 
 
 def test_fh_prediction_against_exact_determinant_smooth_plus_jump():
