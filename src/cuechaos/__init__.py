@@ -11,7 +11,8 @@ The package has three layers:
   eigenangles or as Verblunsky coefficients evaluated by the Szego recursion,
   powers-of-traces statistics, chaos measures built from Gaussian Fourier
   fields (`chaos_measure`), all driven by counter-based reproducible
-  streams and one serial Monte Carlo engine (`RngStream`, `mc_map`);
+  streams and one serial Monte Carlo engine (`RngStream`, `mc_map_blocks`
+  for draws in blocks, `mc_map` for one draw at a time);
 * verification harness -- the experiment registry (`run_experiment`)
   that pits estimates against oracles and emits deterministic reports.
 """
@@ -33,10 +34,13 @@ from .cue import (
     VerblunskySample,
     charpoly_log,
     exact_mean_f,
+    f_block,
     f_truncated,
     f_value,
     integrate_f,
     sample_cue,
+    sample_verblunsky_block,
+    total_mass_block,
     trace_powers,
 )
 from .gmc import (
@@ -60,6 +64,7 @@ from .montecarlo import (
     as_generator,
     ks_distance,
     mc_map,
+    mc_map_blocks,
     run_mc_detailed,
 )
 from .special import PoleError, fh_constant, log_barnes_g, log_gamma
@@ -105,6 +110,7 @@ __all__ = [
     "MCFailureError",
     "as_generator",
     "mc_map",
+    "mc_map_blocks",
     "run_mc_detailed",
     "ks_distance",
     # cue
@@ -114,12 +120,15 @@ __all__ = [
     "TraceVector",
     "SingularityError",
     "sample_cue",
+    "sample_verblunsky_block",
     "charpoly_log",
     "trace_powers",
     "f_value",
+    "f_block",
     "f_truncated",
     "exact_mean_f",
     "integrate_f",
+    "total_mass_block",
     # gmc
     "GaussianDraw",
     "GridMeasure",

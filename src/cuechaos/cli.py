@@ -307,7 +307,7 @@ def _cmd_experiment(args) -> int:
         beta=base.get("beta"),
         samples=base.get("samples"),
         grid_size=base.get("grid_size"),
-        seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
+        seed=args.seed if args.seed is not None else base.get("seed", 0),
     )
     report = run_experiment(config)
     for row in report["rows"]:

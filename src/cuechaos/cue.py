@@ -36,8 +36,8 @@ import numpy as np
 from numpy.random import Generator
 from scipy.special import loggamma
 
-from .grids import TWO_PI, grid_step, uniform_grid
-from .montecarlo import RetryableSampleError, as_generator
+from .grids import TWO_PI, grid_series, grid_step, uniform_grid
+from .montecarlo import RetryableSampleError, RngStream, as_generator
 from .special import PoleError
 
 __all__ = [
@@ -48,12 +48,15 @@ __all__ = [
     "ExponentPair",
     "TraceVector",
     "sample_cue",
+    "sample_verblunsky_block",
     "charpoly_log",
     "trace_powers",
     "f_value",
+    "f_block",
     "f_truncated",
     "exact_mean_f",
     "integrate_f",
+    "total_mass_block",
 ]
 
 # Angular distance below which an evaluation point counts as hitting an
@@ -122,41 +125,78 @@ def _szego(alphas, times_z, phi, phis):
 
     The polynomials may be held as values at points of the circle or as
     coefficient vectors (lowest order first); times_z multiplies one by z in
-    that form.  Yields (z Phi_k, Phi_{k+1}, Phi_{k+1}^*) for k = 0, 1, ...,
-    len(alphas) - 1.
+    that form.  alphas[..., k] is alpha_k: a scalar for one draw, or the
+    alpha_k of a block of draws shaped to broadcast against the polynomials.
+    Yields (z Phi_k, Phi_{k+1}, Phi_{k+1}^*) for k = 0, 1, ..., n - 1.
     """
-    for a in np.asarray(alphas, dtype=complex).tolist():
+    for a in np.moveaxis(np.asarray(alphas, dtype=complex), -1, 0):
         zphi = times_z(phi)
         phi, phis = zphi - a.conjugate() * phis, phis - a * zphi
         yield zphi, phi, phis
 
 
+def _times_z_truncated(coeffs: np.ndarray) -> np.ndarray:
+    """z times coefficient vectors (last axis, lowest order first) modulo
+    z^L, L = coeffs.shape[-1]."""
+    shifted = np.zeros_like(coeffs)
+    shifted[..., 1:] = coeffs[..., :-1]
+    return shifted
+
+
+def _phi_coeffs(alphas: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of Phi_n and Phi_n^* modulo z^size (last axis, lowest
+    order first) for Verblunsky coefficients alphas of shape (..., n); exact
+    for size = n + 1."""
+    start = np.zeros(alphas.shape[:-1] + (size,), dtype=complex)
+    start[..., 0] = 1.0
+    phi = phis = start
+    for _, phi, phis in _szego(alphas[..., None, :], _times_z_truncated, start, start):
+        pass
+    return phi, phis
+
+
 def _power_sums(coeffs: np.ndarray, j_max: int) -> np.ndarray:
     """p_j = sum_i lambda_i^j for j = 1..j_max by Newton's identities, from
     the leading coefficients of the monic prod_{i<=n} (z - lambda_i) =
-    sum_m a_m z^{n-m}: coeffs[m] = a_m for m <= N, with N = n or N >= j_max.
+    sum_m a_m z^{n-m}: coeffs[..., m] = a_m for m <= N, with N = n or
+    N >= j_max.  Leading axes are draws.
 
         p_j = -sum_{m=1}^{min(j-1, N)} a_m p_{j-m} - j a_j [j <= N].
     """
-    n = coeffs.size - 1
-    sums = np.empty(j_max, dtype=complex)
+    n = coeffs.shape[-1] - 1
+    sums = np.empty(coeffs.shape[:-1] + (j_max,), dtype=complex)
     for j in range(1, j_max + 1):
         m = min(j - 1, n)
-        total = np.dot(coeffs[1:m + 1], sums[j - 1 - m:j - 1][::-1])
+        # contiguous operands let matmul take BLAS's dot for every draw, the
+        # same arithmetic for one draw as for a block
+        earlier = np.ascontiguousarray(sums[..., j - 1 - m:j - 1][..., ::-1])
+        total = np.matmul(coeffs[..., None, 1:m + 1], earlier[..., None])[..., 0, 0]
         if j <= n:
-            total += j * coeffs[j]
-        sums[j - 1] = -total
+            total += j * coeffs[..., j]
+        sums[..., j - 1] = -total
     return sums
+
+
+def _verblunsky_alphas(n: int, u: np.ndarray) -> np.ndarray:
+    # Killip & Nenciu: alpha_0..alpha_{n-2} are independent and rotation
+    # invariant with |alpha_k|^2 ~ Beta(1, n-k-1), and alpha_{n-1} is uniform
+    # on the circle.  u[..., k] sets |alpha_k|^2 = 1 - (1 - u[..., k])^{1/(n-k-1)}
+    # (inverse CDF) and u[..., n-1+k] sets arg alpha_k = 2 pi u[..., n-1+k].
+    radii = np.ones(u.shape[:-1] + (n,))
+    radii[..., :-1] = np.sqrt(-np.expm1(np.log1p(-u[..., : n - 1]) / np.arange(n - 1, 0, -1)))
+    return radii * np.exp(TWO_PI * 1j * u[..., n - 1 :])
 
 
 @dataclass(eq=False)
 class VerblunskySample:
-    """One draw given by its Verblunsky coefficients alpha_0..alpha_{n-1}.
+    """Verblunsky coefficients alpha_0..alpha_{n-1} of one draw, shape (n,),
+    or of a block of draws, shape (draws, n).
 
     |alpha_k| < 1 for k < n - 1 and |alpha_{n-1}| = 1 (to 1e-12): these are
     the coefficients of an n x n unitary with a cyclic vector, and its
     characteristic polynomial is Phi_n of the Szego recursion, so
     p_n(theta) = e^{-i n theta} Phi_n(e^{i theta}).  No eigensolve is done.
+    The methods of a block give each draw's values along a leading axis.
     """
 
     n: int
@@ -167,53 +207,50 @@ class VerblunskySample:
         self.alphas = np.asarray(self.alphas, dtype=complex)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.alphas.ndim != 1 or self.alphas.size != self.n:
+        if self.alphas.ndim not in (1, 2) or self.alphas.shape[-1] != self.n:
             raise ValueError(
                 f"expected {self.n} Verblunsky coefficients, got shape {self.alphas.shape}"
             )
         radii = np.abs(self.alphas)
-        if not np.all(radii[:-1] < 1.0):
+        if not np.all(radii[..., :-1] < 1.0):
             raise ValueError("need |alpha_k| < 1 for k < n - 1")
-        if not abs(radii[-1] - 1.0) <= _UNIT_TOL:
-            raise ValueError(f"need |alpha_(n-1)| = 1, got {radii[-1]!r}")
+        if not np.all(np.abs(radii[..., -1] - 1.0) <= _UNIT_TOL):
+            raise ValueError(f"need |alpha_(n-1)| = 1, got {radii[..., -1]!r}")
 
     def log_charpoly(self, theta, branch: bool = True):
         """log|p_n| and Im log p_n at angles theta (any shape), by the Szego
         recursion on the values at e^{i theta}; Im log p_n, the sum of the
         principal arguments of the factors Phi_{k+1} / (z Phi_k), is None
-        when branch is False.
+        when branch is False.  A block puts its draw axis first.
 
         Raises SingularityError if |p_n| underflows to 0 or is not finite.
         """
         z = np.exp(1j * np.asarray(theta, dtype=float))
-        one = np.ones_like(z)
-        imlog = np.zeros(np.shape(z)) if branch else None
-        for zphi, phi, _ in _szego(self.alphas, lambda v: z * v, one, one):
+        draws = self.alphas.shape[:-1]
+        alphas = self.alphas.reshape(draws + (1,) * z.ndim + (self.n,))
+        shape = draws + z.shape
+        # one draw at one angle runs on a length-1 array, not on numpy
+        # scalars, so that it does the arithmetic of a block
+        one = np.ones(shape or (1,), dtype=complex)
+        imlog = np.zeros(one.shape) if branch else None
+        for zphi, phi, _ in _szego(alphas, lambda v: z * v, one, one):
             if branch:
                 factor = phi / zphi
                 imlog += np.arctan2(factor.imag, factor.real)
         modulus = np.abs(phi)
         if not np.all((modulus > 0.0) & (modulus < np.inf)):
             raise SingularityError("|p_n| underflows to 0 or overflows")
-        return np.log(modulus), imlog
+        return np.log(modulus).reshape(shape), None if imlog is None else imlog.reshape(shape)
 
     def traces(self, j_max: int) -> np.ndarray:
-        """Tr U^j for j = 1..j_max, by Newton's identities.
+        """Tr U^j for j = 1..j_max (last axis), by Newton's identities.
 
         The Szego recursion runs on coefficient vectors modulo z^L,
         L = min(j_max, n) + 1, which is exact for the lowest L coefficients
         of Phi_n^*(z) = prod_k (1 - conj(lambda_k) z): the conjugates of
         the L leading coefficients of Phi_n, all that the identities use.
         """
-        start = np.zeros(min(j_max, self.n) + 1, dtype=complex)
-        start[0] = 1.0
-        zero = np.zeros(1, dtype=complex)
-
-        def times_z(coeffs):  # multiplication by z modulo z^L
-            return np.concatenate((zero, coeffs[:-1]))
-
-        for _, _, phis in _szego(self.alphas, times_z, start, start):
-            pass
+        _, phis = _phi_coeffs(self.alphas, min(j_max, self.n) + 1)
         return _power_sums(phis.conj(), j_max)
 
 
@@ -238,7 +275,8 @@ class ExponentPair:
 
 @dataclass(eq=False)
 class TraceVector:
-    """Power-sum traces Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max."""
+    """Power-sum traces Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max,
+    shape (j_max,), or (draws, j_max) for a block of draws."""
 
     j_max: int
     traces: np.ndarray
@@ -248,7 +286,7 @@ class TraceVector:
         self.traces = np.asarray(self.traces, dtype=complex)
         if self.j_max < 1:
             raise ValueError(f"need j_max >= 1, got {self.j_max}")
-        if self.traces.ndim != 1 or self.traces.size != self.j_max:
+        if self.traces.ndim not in (1, 2) or self.traces.shape[-1] != self.j_max:
             raise ValueError(
                 f"expected {self.j_max} traces, got shape {self.traces.shape}"
             )
@@ -269,14 +307,7 @@ def _sample_qr_backend(n: int, rng: Generator) -> np.ndarray:
 
 
 def _sample_verblunsky_backend(n: int, rng: Generator) -> VerblunskySample:
-    # Killip & Nenciu: alpha_0..alpha_{n-2} are independent and rotation
-    # invariant with |alpha_k|^2 ~ Beta(1, n-k-1), and alpha_{n-1} is uniform
-    # on the circle.  u[k] sets |alpha_k|^2 = 1 - (1 - u[k])^{1/(n-k-1)}
-    # (inverse CDF) and u[n-1+k] sets arg alpha_k = 2 pi u[n-1+k].
-    u = rng.random(2 * n - 1)
-    radii = np.ones(n)
-    radii[:-1] = np.sqrt(-np.expm1(np.log1p(-u[: n - 1]) / np.arange(n - 1, 0, -1)))
-    return VerblunskySample(n=n, alphas=radii * np.exp(TWO_PI * 1j * u[n - 1 :]))
+    return VerblunskySample(n=n, alphas=_verblunsky_alphas(n, rng.random(2 * n - 1)))
 
 
 def sample_cue(n: int, stream, backend: str = "qr") -> EigenSample | VerblunskySample:
@@ -310,6 +341,17 @@ def sample_cue(n: int, stream, backend: str = "qr") -> EigenSample | VerblunskyS
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def sample_verblunsky_block(n: int, streams: list[RngStream]) -> VerblunskySample:
+    """One Verblunsky draw per stream, as a block VerblunskySample of shape
+    (len(streams), n): row i holds the coefficients that
+    sample_cue(n, streams[i], "verblunsky") draws, by the same formula."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    u = np.array([stream.generator().random(2 * n - 1) for stream in streams])
+    return VerblunskySample(n=n, alphas=_verblunsky_alphas(n, u))
+
+
 def _angle_offsets(sample: EigenSample, theta) -> np.ndarray:
     """x = (theta_k - theta) mod 2*pi for every eigenangle, shape (..., n)."""
     theta = np.asarray(theta, dtype=float)
@@ -338,7 +380,8 @@ def charpoly_log(sample: EigenSample | VerblunskySample, theta: float) -> tuple[
 
 
 def trace_powers(sample: EigenSample | VerblunskySample, j_max: int) -> TraceVector:
-    """Traces Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max."""
+    """Traces Tr U^j = sum_k e^{i j theta_k} for j = 1..j_max; a block
+    VerblunskySample gives a block TraceVector."""
     j_max = int(j_max)
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
@@ -353,14 +396,26 @@ def _log_f(sample: EigenSample | VerblunskySample, theta, p: ExponentPair):
 
 
 def f_value(sample: EigenSample | VerblunskySample, theta: float, p: ExponentPair) -> float:
-    """|p_n(theta)|^alpha * exp(beta * Im log p_n(theta)).
+    """|p_n(theta)|^alpha * exp(beta * Im log p_n(theta)) of one draw.
 
     Raises SingularityError where charpoly_log does, or if f overflows.
     """
+    return f_block(sample, theta, p).item()
+
+
+def f_block(sample: EigenSample | VerblunskySample, theta: float, p: ExponentPair) -> np.ndarray:
+    """f(theta) of every draw of a sample: shape () for one draw, (draws,)
+    for a block VerblunskySample.  Each value is math.exp of
+    alpha log|p_n| + beta Im log p_n, as in f_value.
+
+    Raises SingularityError where charpoly_log does, or if f overflows.
+    """
+    log_f = np.asarray(_log_f(sample, float(theta), p))
     try:
-        return math.exp(_log_f(sample, float(theta), p))
+        values = [math.exp(x) for x in log_f.ravel().tolist()]
     except OverflowError as exc:
         raise SingularityError(f"f overflows at theta={theta}") from exc
+    return np.reshape(values, log_f.shape)
 
 
 def f_truncated(traces: TraceVector, theta: float, p: ExponentPair, k: int) -> float:
@@ -411,11 +466,27 @@ def _shift_collisions(sample: EigenSample, grid: np.ndarray, h: float) -> np.nda
     return thetas
 
 
+def _quadrature_grid(n: int, grid) -> tuple[np.ndarray, float]:
+    """The grid (default uniform_grid(max(512, 8n))) and its step; it must
+    be uniform and have at least 4n nodes."""
+    if grid is None:
+        grid = uniform_grid(max(512, 8 * n))
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 4 * n:
+        raise ValueError(
+            f"grid size {grid.size} too coarse for n={n}; need >= {4 * n}"
+        )
+    return grid, grid_step(grid)
+
+
 def integrate_f(sample: EigenSample | VerblunskySample, g, p: ExponentPair, grid=None) -> float:
     """Quadrature of g against the normalized measure f(theta)/E f dtheta.
 
     Parameters
     ----------
+    sample : EigenSample or VerblunskySample
+        One draw; a block's total masses at beta = 0 come from
+        total_mass_block.
     g : callable, array, or scalar
         Test function; a callable is evaluated (vectorized) on the grid, an
         array must match the grid length.
@@ -426,17 +497,13 @@ def integrate_f(sample: EigenSample | VerblunskySample, g, p: ExponentPair, grid
         by half a step.
 
     With g identically 1 the result is the total mass of the normalized
-    measure, which has expectation 2*pi.  Raises SingularityError if f is
-    not finite at a node.
+    measure, which has expectation 2*pi.  f comes from the Szego recursion
+    on the grid values (VerblunskySample) or the eigenangles.  Raises
+    SingularityError if f is not finite at a node.
     """
-    if grid is None:
-        grid = uniform_grid(max(512, 8 * sample.n))
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 4 * sample.n:
-        raise ValueError(
-            f"grid size {grid.size} too coarse for n={sample.n}; need >= {4 * sample.n}"
-        )
-    h = grid_step(grid)
+    if isinstance(sample, VerblunskySample) and sample.alphas.ndim != 1:
+        raise ValueError("integrate_f takes one draw; total_mass_block takes a block")
+    grid, h = _quadrature_grid(sample.n, grid)
     thetas = _shift_collisions(sample, grid, h) if isinstance(sample, EigenSample) else grid
     fvals = np.exp(_log_f(sample, thetas, p))
     if not np.all(np.isfinite(fvals)):
@@ -448,3 +515,31 @@ def integrate_f(sample: EigenSample | VerblunskySample, g, p: ExponentPair, grid
         gvals = np.broadcast_to(np.asarray(g, dtype=float), thetas.shape)
     total = float(np.sum(gvals * fvals)) * h
     return total / exact_mean_f(sample.n, p)
+
+
+def total_mass_block(sample: VerblunskySample, p: ExponentPair, grid=None) -> np.ndarray:
+    """integrate_f(sample, 1.0, p, grid) of every draw of a VerblunskySample
+    at beta = 0 and alpha >= 0: shape () for one draw, (draws,) for a block.
+
+    |p_n| = |Phi_n| on the grid comes from the n + 1 coefficients of Phi_n
+    (the Szego recursion on coefficient vectors) by one inverse FFT
+    (grid_series), not from the recursion on grid values, so it agrees with
+    integrate_f to rounding, not bitwise.  Only |p_n| is read off the grid:
+    Im log p_n jumps by pi at each zero, and two zeros in one cell would be
+    lost.  The FFT's rounding error is absolute, of order 1e-16 times the
+    size of p_n; alpha < 0 would magnify it at a node near a zero (to 1e-11
+    relative in the mass at alpha = -0.4, n = 16), so it is refused.
+    The grid checks and the SingularityErrors are integrate_f's.
+    """
+    if p.beta != 0.0 or p.alpha < 0.0:
+        raise ValueError(f"total_mass_block needs beta = 0 and alpha >= 0, got {p}")
+    grid, h = _quadrature_grid(sample.n, grid)
+    phi, _ = _phi_coeffs(sample.alphas, sample.n + 1)
+    dense = np.concatenate((np.zeros(phi.shape[:-1] + (sample.n,), dtype=complex), phi), axis=-1)
+    modulus = np.abs(grid_series(dense, grid.size, grid[0]))
+    if not np.all((modulus > 0.0) & (modulus < np.inf)):
+        raise SingularityError("|p_n| underflows to 0 or overflows")
+    fvals = np.exp(p.alpha * np.log(modulus))
+    if not np.all(np.isfinite(fvals)):
+        raise SingularityError("f is not finite on the grid")
+    return np.sum(fvals, axis=-1) * h / exact_mean_f(sample.n, p)

@@ -13,6 +13,7 @@ formatting, per-index random streams).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -23,10 +24,19 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import variance_integral
-from .cue import ExponentPair, exact_mean_f, f_value, integrate_f, sample_cue, trace_powers
+from .cue import (
+    ExponentPair,
+    exact_mean_f,
+    f_block,
+    integrate_f,
+    sample_cue,
+    sample_verblunsky_block,
+    total_mass_block,
+    trace_powers,
+)
 from .gmc import chaos_measure, field_coeffs_from_traces, gaussian_draw
 from .grids import TWO_PI, uniform_grid
-from .montecarlo import RngStream, ks_distance, mc_map, run_mc_detailed
+from .montecarlo import RngStream, ks_distance, mc_map, mc_map_blocks
 from .special import fh_constant
 
 __all__ = [
@@ -47,12 +57,20 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Parameters of a registry run; None fields take experiment defaults.
 
-    Every sampled experiment draws Verblunsky coefficients
-    (sample_cue(n, stream, "verblunsky")), which give p_n and the traces with
-    no eigensolve.  ``workers`` has no effect (samples are always evaluated
-    serially) and is left out of the report; it is still validated (>= 1)
-    only because the benchmark's workloads (bench/workloads.py) pass
-    workers=2, and it goes when the benchmark's next change drops that.
+    Every sampled experiment draws Verblunsky coefficients, which give p_n
+    and the traces with no eigensolve, 16 draws at a time
+    (sample_verblunsky_block, through mc_map_blocks): the traces and f at
+    one angle of a block are bitwise those of sample_cue(n, stream,
+    "verblunsky") draw by draw, and mass-ks at beta = 0 and alpha >= 0
+    reads |p_n| on its grid by FFT (total_mass_block); at beta != 0 or
+    alpha < 0 it runs integrate_f draw by draw.  Numeric fields must be
+    numbers, and every field but alpha and beta an integer; a ConfigError
+    names the field otherwise.
+
+    ``workers`` has no effect (samples are always evaluated serially) and is
+    left out of the report; it is still validated (>= 1) only because the
+    benchmark's workloads (bench/workloads.py) pass workers=2, and it goes
+    when the benchmark's next change drops that.
     """
 
     experiment: str
@@ -85,8 +103,12 @@ _KS_ALLOWANCE = 0.10
 _KS_C_ALPHA = math.sqrt(math.log(2.0 / 1e-3) / 2.0)
 
 
+@functools.cache
 def build_identifier() -> str:
-    """Package version, extended with the git description when available."""
+    """Package version, extended with the git description when available.
+
+    Computed once per process: the code a process runs is fixed at import.
+    """
     here = Path(__file__).resolve().parent
     try:
         probe = subprocess.run(
@@ -114,21 +136,33 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         value = getattr(config, name)
         if value is not None:
             merged[name] = value
+    merged.update(seed=config.seed, workers=config.workers)
     resolved = ExperimentConfig(
         experiment=config.experiment,
-        n=int(merged["n"]),
-        k=int(merged["k"]),
-        alpha=float(merged["alpha"]),
-        beta=float(merged["beta"]),
-        samples=int(merged["samples"]),
-        grid_size=int(merged["grid_size"]),
-        seed=int(config.seed),
         out_dir=config.out_dir,
-        workers=int(config.workers),
+        **{name: _number(name, value) for name, value in merged.items()},
     )
     if resolved.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {resolved.workers}")
     return resolved
+
+
+_REAL_FIELDS = ("alpha", "beta")
+
+
+def _number(field: str, value) -> int | float:
+    """value as a float (alpha, beta) or an int (every other field); a
+    ConfigError names the field of a value that is not a number, or not an
+    integer where one is needed."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+    if field in _REAL_FIELDS:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return int(value) if isinstance(value, (int, np.integer)) else int(number)
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -166,11 +200,11 @@ def _run_clt_traces(cfg: ExperimentConfig) -> list[dict]:
     j_max = cfg.k
     scale = 1.0 / np.sqrt(np.arange(1, j_max + 1))
 
-    def functional(stream: RngStream) -> np.ndarray:
-        traces = trace_powers(sample_cue(cfg.n, stream, "verblunsky"), j_max).traces * scale
-        return np.concatenate([traces.real, traces.imag])
+    def functional(streams: list[RngStream]) -> np.ndarray:
+        traces = trace_powers(sample_verblunsky_block(cfg.n, streams), j_max).traces * scale
+        return np.concatenate([traces.real, traces.imag], axis=-1)
 
-    values, _ = mc_map(functional, cfg.samples, cfg.seed, dim=2 * j_max)
+    values, _ = mc_map_blocks(functional, cfg.samples, cfg.seed, dim=2 * j_max)
     labels = [f"Re T{j}/sqrt({j})" for j in range(1, j_max + 1)]
     labels += [f"Im T{j}/sqrt({j})" for j in range(1, j_max + 1)]
     return _moment_rows(values, labels, "standard-gaussian-moment")
@@ -238,20 +272,22 @@ def _run_moment_mc(cfg: ExperimentConfig) -> list[dict]:
     _require(cfg.samples >= 2, "samples", f"must be >= 2, got {cfg.samples}")
     p = ExponentPair(cfg.alpha, cfg.beta)
 
-    def functional(stream: RngStream) -> float:
-        return f_value(sample_cue(cfg.n, stream, "verblunsky"), 0.0, p)
+    def functional(streams: list[RngStream]) -> np.ndarray:
+        return f_block(sample_verblunsky_block(cfg.n, streams), 0.0, p)
 
-    estimate, stats = run_mc_detailed(functional, cfg.samples, cfg.seed)
+    values, stats = mc_map_blocks(functional, cfg.samples, cfg.seed)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(cfg.samples))
     oracle = exact_mean_f(cfg.n, p)
     return [
         {
             "check": f"E f at theta=0, n={cfg.n}",
-            "estimate": estimate.mean,
-            "stderr": estimate.stderr,
+            "estimate": mean,
+            "stderr": stderr,
             "oracle": oracle,
             "oracle_provenance": "gamma-product",
             "tolerance": "3 stderr",
-            "pass": abs(estimate.mean - oracle) <= 3.0 * estimate.stderr,
+            "pass": abs(mean - oracle) <= 3.0 * stderr,
             "retries": stats.retries,
         }
     ]
@@ -270,10 +306,19 @@ def _run_mass_ks(cfg: ExperimentConfig) -> list[dict]:
     def cue_mass(stream: RngStream) -> float:
         return integrate_f(sample_cue(cfg.n, stream, "verblunsky"), 1.0, p, grid)
 
+    def cue_masses(streams: list[RngStream]) -> np.ndarray:
+        return total_mass_block(sample_verblunsky_block(cfg.n, streams), p, grid)
+
     def gmc_mass(stream: RngStream) -> float:
         return chaos_measure(gaussian_draw(cfg.k, stream), beta_chaos, grid).total_mass
 
-    cue_vals, _ = mc_map(cue_mass, cfg.samples, cfg.seed)
+    # |p_n| alone comes off the grid by FFT (see total_mass_block); the
+    # branch of Im log p_n, and |p_n|^alpha with alpha < 0, need the
+    # recursion at every node
+    if p.beta == 0.0 and p.alpha >= 0.0:
+        cue_vals, _ = mc_map_blocks(cue_masses, cfg.samples, cfg.seed)
+    else:
+        cue_vals, _ = mc_map(cue_mass, cfg.samples, cfg.seed)
     # disjoint stream ids for the chaos side keep the two sample sets independent
     gmc_vals, _ = mc_map(gmc_mass, cfg.samples, cfg.seed, first_index=cfg.samples)
     statistic = ks_distance(cue_vals, gmc_vals)
@@ -315,13 +360,13 @@ def _run_coeff_variance(cfg: ExperimentConfig) -> list[dict]:
     _require(cfg.samples >= 2, "samples", f"must be >= 2, got {cfg.samples}")
     j_max = cfg.k
 
-    def functional(stream: RngStream) -> np.ndarray:
+    def functional(streams: list[RngStream]) -> np.ndarray:
         coeffs = field_coeffs_from_traces(
-            trace_powers(sample_cue(cfg.n, stream, "verblunsky"), j_max)
+            trace_powers(sample_verblunsky_block(cfg.n, streams), j_max)
         )
         return np.abs(coeffs) ** 2
 
-    values, _ = mc_map(functional, cfg.samples, cfg.seed, dim=j_max)
+    values, _ = mc_map_blocks(functional, cfg.samples, cfg.seed, dim=j_max)
     rows = []
     for j in range(1, j_max + 1):
         col = values[:, j - 1]
@@ -379,6 +424,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return "pass" if value else "fail"
     if isinstance(value, float):

@@ -2,7 +2,8 @@
 
 Every mode sum in the package goes through trig_series (arbitrary angles) or
 grid_series (a shifted uniform grid, by one inverse FFT).  Both take the
-dense layout coeffs[k + j] = c_j for |j| <= k.
+dense layout coeffs[k + j] = c_j for |j| <= k; grid_series also takes
+leading axes, one series each.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def grid_step(grid: np.ndarray) -> float:
 
 def _dense_coeffs(coeffs) -> tuple[np.ndarray, int]:
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size % 2 != 1:
-        raise ValueError(f"coefficients must be a 1-d array of odd length, got shape {c.shape}")
-    return c, c.size // 2
+    if c.ndim < 1 or c.shape[-1] % 2 != 1:
+        raise ValueError(f"coefficients must have odd length along the last axis, got shape {c.shape}")
+    return c, c.shape[-1] // 2
 
 
 def trig_series(coeffs, theta):
@@ -57,6 +58,8 @@ def trig_series(coeffs, theta):
     calling transcendentals per mode, so memory stays O(len theta).
     """
     c, k = _dense_coeffs(coeffs)
+    if c.ndim != 1:
+        raise ValueError(f"trig_series takes one series, got coefficients of shape {c.shape}")
     theta = np.asarray(theta, dtype=float)
     total = np.full(theta.shape, c[k])
     rot = np.exp(1j * theta)
@@ -73,12 +76,14 @@ def grid_series(coeffs, m: int, offset: float = 0.0) -> np.ndarray:
 
     Orders are folded mod m before one inverse FFT of length m, so the result
     is the exact series for every k: no Nyquist condition applies here.
+    Leading axes of coeffs are separate series: the result has shape
+    coeffs.shape[:-1] + (m,).
     """
     c, k = _dense_coeffs(coeffs)
     m = int(m)
     if m < 1:
         raise ValueError(f"grid size must be positive, got {m}")
     orders = np.arange(-k, k + 1)
-    folded = np.zeros(m, dtype=complex)
-    np.add.at(folded, np.mod(orders, m), c * np.exp(1j * orders * float(offset)))
+    folded = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+    np.add.at(folded, (..., np.mod(orders, m)), c * np.exp(1j * orders * float(offset)))
     return np.fft.ifft(folded, norm="forward")

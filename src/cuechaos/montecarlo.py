@@ -1,13 +1,17 @@
 """Reproducible Monte Carlo engine built on counter-based random streams.
 
-Every sample index owns its own Philox stream, and ``mc_map`` evaluates the
-samples serially in index order, so results depend only on the seed.
+Every sample index owns its own Philox stream, and ``mc_map_blocks``
+evaluates the samples serially in index order, a block of consecutive
+indices per call of a block functional, so results depend only on the seed.
 Failed evaluations (e.g. a quadrature node landing on an eigenangle) are
-retried on a shifted substream and counted; a run aborts if failures stop
-looking like measure-zero accidents.  Every sampled quantity in the package
-goes through ``mc_map``; ``run_mc_detailed`` reduces it to a mean and a
-standard error.  There is no worker pool: threads compete with the BLAS
-threads inside each draw and made runs slower.
+retried index by index on a shifted substream and counted; a run aborts if
+failures stop looking like measure-zero accidents.  Every sampled quantity
+in the package goes through ``mc_map_blocks``: directly when one call can
+draw and evaluate many samples at once (the registry's Verblunsky draws),
+or through ``mc_map``, which applies a per-draw functional stream by stream.
+``run_mc_detailed`` reduces ``mc_map`` to a mean and a standard error.
+There is no worker pool: threads compete with the BLAS threads inside each
+draw and made runs slower.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "MCFailureError",
     "as_generator",
     "mc_map",
+    "mc_map_blocks",
     "run_mc_detailed",
     "ks_distance",
 ]
@@ -37,6 +42,10 @@ _MASK64 = (1 << 64) - 1
 _RETRY_SHIFT = 48
 _MAX_RETRIES = 8
 _ABORT_FRACTION = 1e-3
+# Samples per call of a block functional: enough to amortize numpy's
+# per-call overhead, few enough to keep a block's grid arrays small (one
+# 16 x 1024 complex array is 256 KB for mass-ks on its default grid).
+_BLOCK = 16
 
 
 class RetryableSampleError(RuntimeError):
@@ -108,23 +117,28 @@ def as_generator(stream) -> Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(stream)!r}")
 
 
-def mc_map(
-    functional: Callable[[RngStream], float | np.ndarray],
+def mc_map_blocks(
+    block_functional: Callable[[list[RngStream]], np.ndarray],
     samples: int,
     seed: int,
     dim: int | None = None,
     first_index: int = 0,
 ) -> tuple[np.ndarray, MCRunStats]:
-    """Evaluate ``functional`` serially, once per sample index.
+    """Evaluate ``block_functional`` on runs of consecutive sample streams.
 
-    Sample i draws from stream (seed, first_index + i); each time the
-    functional raises RetryableSampleError it is retried on that stream's
-    next substream, at most _MAX_RETRIES times.
+    Samples are taken _BLOCK at a time in index order: the functional gets
+    the streams (seed, first_index + i) of one run of indices i and returns
+    one value per stream.  If it raises RetryableSampleError the run is
+    evaluated again index by index, each on a one-stream list, and an index
+    that fails is retried on its stream's next substream, at most
+    _MAX_RETRIES times.  So the value of sample i depends only on the seed
+    and i, as long as the functional treats its streams independently.
 
     Parameters
     ----------
-    functional : callable
-        Maps an RngStream to a real value, or to a length-``dim`` vector.
+    block_functional : callable
+        Maps a list of RngStreams to an array of one real value per stream,
+        shape (len(streams),), or (len(streams), dim) if dim is given.
     samples : int
         Number of sample indices.
     seed : int
@@ -149,25 +163,61 @@ def mc_map(
     samples = int(samples)
     values = np.empty((samples,) if dim is None else (samples, int(dim)), dtype=float)
     retries = retried_samples = 0
-    for i in range(samples):
-        for attempt in range(_MAX_RETRIES + 1):
-            try:
-                value = functional(RngStream(seed, first_index + i).substream(attempt))
-                break
-            except RetryableSampleError:
-                pass
-        else:
-            raise MCFailureError(f"sample {first_index + i} failed {attempt + 1} attempts; aborting")
-        values[i] = float(value) if dim is None else value
-        if attempt:
-            retries += attempt
-            retried_samples += 1
-            if retried_samples > _ABORT_FRACTION * samples:
-                raise MCFailureError(
-                    f"{retried_samples} of {samples} samples needed retries; "
-                    f"aborting (threshold {_ABORT_FRACTION:.1%})"
-                )
+    for start in range(0, samples, _BLOCK):
+        stop = min(start + _BLOCK, samples)
+        try:
+            values[start:stop] = block_functional(
+                [RngStream(seed, first_index + i) for i in range(start, stop)]
+            )
+            continue
+        except RetryableSampleError:
+            pass
+        for i in range(start, stop):
+            for attempt in range(_MAX_RETRIES + 1):
+                try:
+                    value = block_functional([RngStream(seed, first_index + i).substream(attempt)])
+                    break
+                except RetryableSampleError:
+                    pass
+            else:
+                raise MCFailureError(f"sample {first_index + i} failed {attempt + 1} attempts; aborting")
+            values[i] = value[0]
+            if attempt:
+                retries += attempt
+                retried_samples += 1
+                if retried_samples > _ABORT_FRACTION * samples:
+                    raise MCFailureError(
+                        f"{retried_samples} of {samples} samples needed retries; "
+                        f"aborting (threshold {_ABORT_FRACTION:.1%})"
+                    )
     return values, MCRunStats(retries=retries, failures=0)
+
+
+def mc_map(
+    functional: Callable[[RngStream], float | np.ndarray],
+    samples: int,
+    seed: int,
+    dim: int | None = None,
+    first_index: int = 0,
+) -> tuple[np.ndarray, MCRunStats]:
+    """Evaluate ``functional`` once per sample index, through mc_map_blocks.
+
+    Sample i draws from stream (seed, first_index + i); each time the
+    functional raises RetryableSampleError it is retried on that stream's
+    next substream, at most _MAX_RETRIES times.  Arguments, return value
+    and MCFailureError are those of mc_map_blocks, with ``functional``
+    mapping one RngStream to a real value or a length-``dim`` vector.
+    """
+    shape = () if dim is None else (int(dim),)
+
+    def block_functional(streams: list[RngStream]) -> np.ndarray:
+        out = np.empty((len(streams),) + shape)
+        for j, stream in enumerate(streams):
+            value = functional(stream)
+            out[j] = float(value) if dim is None else value
+        return out
+
+    return mc_map_blocks(block_functional, samples, seed, dim, first_index)
 
 
 def run_mc_detailed(

@@ -255,8 +255,28 @@ def test_sample_cue_rejects_the_verblunsky_backend():
         (["experiment", "ef-limit"], {"samples_": 10, "backend": "qr"}, ["'samples_'", "'backend'"]),
         (["toeplitz-det"], {"v_coeffs": {"x": 1}}, ["v_coeffs[x]"]),
         (["toeplitz-det"], {"v_coeffs": {"1": ["a", 0]}}, ["v_coeffs[1]"]),
+        (["experiment", "ef-limit"], {"n": "abc"}, ["n: expected a number", "'abc'"]),
+        (["experiment", "ef-limit"], {"n": 40.7}, ["n: expected an integer", "40.7"]),
+        (["experiment", "ef-limit"], {"k": 2.5}, ["k: expected an integer"]),
+        (["experiment", "ef-limit"], {"samples": 10.5}, ["samples: expected an integer"]),
+        (["experiment", "ef-limit"], {"grid_size": [64]}, ["grid_size: expected a number"]),
+        (["experiment", "ef-limit"], {"seed": "x"}, ["seed: expected a number"]),
+        (["experiment", "ef-limit"], {"seed": 1.5}, ["seed: expected an integer"]),
+        (["experiment", "ef-limit"], {"alpha": "abc"}, ["alpha: expected a number"]),
     ],
-    ids=["experiment-unknown-keys", "v-coeffs-order", "v-coeffs-value"],
+    ids=[
+        "experiment-unknown-keys",
+        "v-coeffs-order",
+        "v-coeffs-value",
+        "experiment-n-text",
+        "experiment-n-fraction",
+        "experiment-k-fraction",
+        "experiment-samples-fraction",
+        "experiment-grid-size-list",
+        "experiment-seed-text",
+        "experiment-seed-fraction",
+        "experiment-alpha-text",
+    ],
 )
 def test_bad_json_field_is_named(tmp_path, argv, payload, names):
     config = tmp_path / "input.json"

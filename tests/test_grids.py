@@ -40,6 +40,10 @@ def test_grid_series_matches_trig_series(k, shift):
     assert_allclose(
         grid_series(coeffs, m, offset), direct, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum()
     )
+    # a leading axis holds separate series, each evaluated as on its own
+    stacked = grid_series(np.stack([coeffs, coeffs[::-1]]), m, offset)
+    assert np.array_equal(stacked[0], grid_series(coeffs, m, offset))
+    assert np.array_equal(stacked[1], grid_series(coeffs[::-1], m, offset))
 
 
 def test_trig_series_scalar_in_scalar_out():

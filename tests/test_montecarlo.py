@@ -1,4 +1,9 @@
-"""Tests for the reproducible Monte Carlo engine and the KS statistic."""
+"""Tests for the reproducible Monte Carlo engine and the KS statistic.
+
+Block functionals (mc_map_blocks) are checked against values written out
+by hand from the retry policy: sample i takes the first substream of
+(seed, i) on which it evaluates.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +12,13 @@ from numpy.testing import assert_allclose
 
 from cuechaos import (
     MCFailureError,
+    MCRunStats,
     RetryableSampleError,
     RngStream,
     as_generator,
     ks_distance,
     mc_map,
+    mc_map_blocks,
     run_mc_detailed,
 )
 
@@ -24,6 +31,11 @@ def _stream_index(stream):
 
 def _stream_attempt(stream):
     return stream.stream_id >> 48
+
+
+def _blockwise(functional):
+    """The block functional that applies a per-draw functional stream by stream."""
+    return lambda streams: np.array([functional(s) for s in streams])
 
 
 def test_stream_reproducible():
@@ -81,6 +93,8 @@ def test_run_mc_aborts_when_sample_never_succeeds():
         run_mc_detailed(broken, 100, seed=0)
     with pytest.raises(MCFailureError):
         mc_map(lambda s: np.full(3, broken(s)), 100, seed=0, dim=3)
+    with pytest.raises(MCFailureError, match="sample 7 failed 9 attempts"):
+        mc_map_blocks(_blockwise(broken), 100, seed=0)
 
 
 def test_run_mc_aborts_on_high_retry_rate():
@@ -94,6 +108,36 @@ def test_run_mc_aborts_on_high_retry_rate():
         run_mc_detailed(often_flaky, 2000, seed=0)
     with pytest.raises(MCFailureError):
         mc_map(lambda s: np.full(3, often_flaky(s)), 2000, seed=0, dim=3)
+    with pytest.raises(MCFailureError, match="needed retries"):
+        mc_map_blocks(_blockwise(often_flaky), 2000, seed=0)
+
+
+@pytest.mark.parametrize("dim", [None, 3])
+def test_block_functional_retries_index_by_index(dim):
+    # samples 5 and 37 fail on their first stream; a block holding one of
+    # them is evaluated again index by index, and only that index retries
+    flaky_ids = (5, 37)
+
+    def flaky(stream):
+        if _stream_index(stream) in flaky_ids and _stream_attempt(stream) == 0:
+            raise RetryableSampleError("collision")
+        value = stream.generator().random()
+        return value if dim is None else np.full(3, value)
+
+    samples = 6000
+    want = np.array([RngStream(3, i).generator().random() for i in range(samples)])
+    for i in flaky_ids:
+        want[i] = RngStream(3, i).substream(1).generator().random()
+    if dim is not None:
+        want = np.repeat(want[:, None], 3, axis=1)
+    values, stats = mc_map_blocks(_blockwise(flaky), samples, seed=3, dim=dim)
+    assert np.array_equal(values, want)
+    assert stats == MCRunStats(retries=2, failures=0)
+    per_draw, per_draw_stats = mc_map(flaky, samples, seed=3, dim=dim)
+    assert np.array_equal(per_draw, values) and per_draw_stats == stats
+    # block boundaries depend on first_index; the values do not
+    tail, _ = mc_map_blocks(_blockwise(flaky), 45, seed=3, dim=dim, first_index=40)
+    assert np.array_equal(tail, values[40:85])
 
 
 def test_mc_map_shapes_and_index_ranges():
