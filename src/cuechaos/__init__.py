@@ -46,15 +46,17 @@ from .cue import (
 from .gmc import (
     GaussianDraw,
     GridMeasure,
+    chaos_mass_block,
     chaos_measure,
     field_coeffs_from_traces,
     field_partial_sum,
     field_variance,
+    gaussian_block,
     gaussian_draw,
     integrate_measure,
     sobolev_norm,
 )
-from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
+from .grids import TWO_PI, grid_reduce, grid_series, grid_step, trig_series, uniform_grid
 from .montecarlo import (
     MCEstimate,
     MCFailureError,
@@ -66,6 +68,7 @@ from .montecarlo import (
     mc_map,
     mc_map_blocks,
     run_mc_detailed,
+    stream_draws,
 )
 from .special import PoleError, fh_constant, log_barnes_g, log_gamma
 from .toeplitz import (
@@ -102,6 +105,7 @@ __all__ = [
     "grid_step",
     "trig_series",
     "grid_series",
+    "grid_reduce",
     # montecarlo
     "RngStream",
     "MCEstimate",
@@ -111,6 +115,7 @@ __all__ = [
     "as_generator",
     "mc_map",
     "mc_map_blocks",
+    "stream_draws",
     "run_mc_detailed",
     "ks_distance",
     # cue
@@ -133,9 +138,11 @@ __all__ = [
     "GaussianDraw",
     "GridMeasure",
     "gaussian_draw",
+    "gaussian_block",
     "field_variance",
     "field_partial_sum",
     "chaos_measure",
+    "chaos_mass_block",
     "integrate_measure",
     "field_coeffs_from_traces",
     "sobolev_norm",

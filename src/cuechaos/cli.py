@@ -49,7 +49,14 @@ from .experiments import (
 from .gmc import chaos_measure, gaussian_draw
 from .grids import uniform_grid
 from .montecarlo import RngStream
-from .toeplitz import Singularity, SymbolSpec, fourier_coeffs, make_sigma, toeplitz_logdet
+from .toeplitz import (
+    Singularity,
+    SymbolSpec,
+    check_dense_size,
+    fourier_coeffs,
+    make_sigma,
+    toeplitz_logdet,
+)
 
 __all__ = ["main"]
 
@@ -74,15 +81,23 @@ def _emit_csv(out_dir: str | None, filename: str, columns: list[str], rows) -> l
     return [filename]
 
 
+def _float_column(values) -> list[str]:
+    """The CSV cells of a 1-d float64 array, each repr(float(value)) as in
+    _format_cell, from one repr of the whole column."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def _emit_sample_csvs(out_dir: str | None, stem: str, columns: list[str], blocks) -> list[str]:
     """Serialize one draw per CSV file; on stdout, concatenate the draws.
 
-    Each draw is its own table (the serialization unit), so with --out the
-    i-th draw lands in ``<stem>_<i:04d>.csv``.  Without --out all draws share
-    one header on stdout; block boundaries are implied by the draw length.
+    Each block is the formatted body lines of one draw.  Each draw is its
+    own table (the serialization unit), so with --out the i-th draw lands in
+    ``<stem>_<i:04d>.csv``.  Without --out all draws share one header on
+    stdout; block boundaries are implied by the draw length.
     """
+    header = [",".join(columns)]
     if out_dir is None:
-        sys.stdout.write(_csv_text(columns, [row for block in blocks for row in block]))
+        sys.stdout.write("\n".join(header + [line for block in blocks for line in block]) + "\n")
         return []
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -90,7 +105,7 @@ def _emit_sample_csvs(out_dir: str | None, stem: str, columns: list[str], blocks
     for i, block in enumerate(blocks):
         target = path / f"{stem}_{i:04d}.csv"
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_csv_text(columns, block))
+            fh.write("\n".join(header + block) + "\n")
         print(f"wrote {target}")
         written.append(target.name)
     return written
@@ -204,8 +219,7 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_sample_cue(args) -> int:
     blocks = []
     for i in range(args.samples):
-        sample = sample_cue(args.n, RngStream(args.seed, i))
-        blocks.append([(float(theta),) for theta in sample.angles])
+        blocks.append(_float_column(sample_cue(args.n, RngStream(args.seed, i)).angles))
     files = _emit_sample_csvs(args.out, "cue_sample", ["theta"], blocks)
     _write_summary(
         args.out,
@@ -219,11 +233,12 @@ def _cmd_sample_cue(args) -> int:
 def _cmd_gmc_sample(args) -> int:
     grid = uniform_grid(args.grid_size) if args.grid_size else None
     blocks = []
+    theta = None
     for i in range(args.samples):
         measure = chaos_measure(gaussian_draw(args.k, RngStream(args.seed, i)), args.beta, grid)
-        blocks.append(
-            [(float(theta), float(mass)) for theta, mass in zip(measure.grid, measure.masses)]
-        )
+        if theta is None:  # every draw shares one grid
+            theta = _float_column(measure.grid)
+        blocks.append(list(map(",".join, zip(theta, _float_column(measure.masses)))))
     files = _emit_sample_csvs(args.out, "gmc_sample", ["theta", "mass"], blocks)
     _write_summary(
         args.out,
@@ -244,6 +259,8 @@ def _cmd_toeplitz_det(args) -> int:
     symbol = _load_json(args.config)
     spec = _symbol_from_json(symbol)
     sizes = _parse_sizes(args.sizes)
+    for n in sorted(set(sizes)):
+        check_dense_size(n)
     coeffs = fourier_coeffs(spec, max(sizes) - 1, args.fft_size)
     rows = []
     for n in sorted(set(sizes)):

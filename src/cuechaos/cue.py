@@ -36,8 +36,8 @@ import numpy as np
 from numpy.random import Generator
 from scipy.special import loggamma
 
-from .grids import TWO_PI, grid_series, grid_step, uniform_grid
-from .montecarlo import RetryableSampleError, RngStream, as_generator
+from .grids import TWO_PI, grid_reduce, grid_step, uniform_grid
+from .montecarlo import RetryableSampleError, RngStream, as_generator, stream_draws
 from .special import PoleError
 
 __all__ = [
@@ -348,7 +348,7 @@ def sample_verblunsky_block(n: int, streams: list[RngStream]) -> VerblunskySampl
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    u = np.array([stream.generator().random(2 * n - 1) for stream in streams])
+    u = stream_draws(streams, lambda rng: rng.random(2 * n - 1))
     return VerblunskySample(n=n, alphas=_verblunsky_alphas(n, u))
 
 
@@ -522,8 +522,9 @@ def total_mass_block(sample: VerblunskySample, p: ExponentPair, grid=None) -> np
     at beta = 0 and alpha >= 0: shape () for one draw, (draws,) for a block.
 
     |p_n| = |Phi_n| on the grid comes from the n + 1 coefficients of Phi_n
-    (the Szego recursion on coefficient vectors) by one inverse FFT
-    (grid_series), not from the recursion on grid values, so it agrees with
+    (the Szego recursion on coefficient vectors, over the whole block) by
+    one inverse FFT per draw, 16 draws at a time (grid_reduce), not from the
+    recursion on grid values, so it agrees with
     integrate_f to rounding, not bitwise.  Only |p_n| is read off the grid:
     Im log p_n jumps by pi at each zero, and two zeros in one cell would be
     lost.  The FFT's rounding error is absolute, of order 1e-16 times the
@@ -534,12 +535,17 @@ def total_mass_block(sample: VerblunskySample, p: ExponentPair, grid=None) -> np
     if p.beta != 0.0 or p.alpha < 0.0:
         raise ValueError(f"total_mass_block needs beta = 0 and alpha >= 0, got {p}")
     grid, h = _quadrature_grid(sample.n, grid)
+    mean = exact_mean_f(sample.n, p)
+
+    def masses(series: np.ndarray) -> np.ndarray:
+        modulus = np.abs(series)
+        if not np.all((modulus > 0.0) & (modulus < np.inf)):
+            raise SingularityError("|p_n| underflows to 0 or overflows")
+        fvals = np.exp(p.alpha * np.log(modulus))
+        if not np.all(np.isfinite(fvals)):
+            raise SingularityError("f is not finite on the grid")
+        return np.sum(fvals, axis=-1) * h / mean
+
     phi, _ = _phi_coeffs(sample.alphas, sample.n + 1)
     dense = np.concatenate((np.zeros(phi.shape[:-1] + (sample.n,), dtype=complex), phi), axis=-1)
-    modulus = np.abs(grid_series(dense, grid.size, grid[0]))
-    if not np.all((modulus > 0.0) & (modulus < np.inf)):
-        raise SingularityError("|p_n| underflows to 0 or overflows")
-    fvals = np.exp(p.alpha * np.log(modulus))
-    if not np.all(np.isfinite(fvals)):
-        raise SingularityError("f is not finite on the grid")
-    return np.sum(fvals, axis=-1) * h / exact_mean_f(sample.n, p)
+    return grid_reduce(dense, grid.size, grid[0], masses)

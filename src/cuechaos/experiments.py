@@ -34,7 +34,7 @@ from .cue import (
     total_mass_block,
     trace_powers,
 )
-from .gmc import chaos_measure, field_coeffs_from_traces, gaussian_draw
+from .gmc import chaos_mass_block, field_coeffs_from_traces, gaussian_block
 from .grids import TWO_PI, uniform_grid
 from .montecarlo import RngStream, ks_distance, mc_map, mc_map_blocks
 from .special import fh_constant
@@ -58,14 +58,16 @@ class ExperimentConfig:
     """Parameters of a registry run; None fields take experiment defaults.
 
     Every sampled experiment draws Verblunsky coefficients, which give p_n
-    and the traces with no eigensolve, 16 draws at a time
+    and the traces with no eigensolve, a block of draws at a time
     (sample_verblunsky_block, through mc_map_blocks): the traces and f at
     one angle of a block are bitwise those of sample_cue(n, stream,
     "verblunsky") draw by draw, and mass-ks at beta = 0 and alpha >= 0
     reads |p_n| on its grid by FFT (total_mass_block); at beta != 0 or
-    alpha < 0 it runs integrate_f draw by draw.  Numeric fields must be
-    numbers, and every field but alpha and beta an integer; a ConfigError
-    names the field otherwise.
+    alpha < 0 it runs integrate_f draw by draw.  The chaos side of mass-ks
+    draws in blocks too (gaussian_block, chaos_mass_block), bitwise
+    chaos_measure(gaussian_draw(k, stream), ...) draw by draw.  Numeric
+    fields must be numbers, and every field but alpha and beta an integer;
+    a ConfigError names the field otherwise.
 
     ``workers`` has no effect (samples are always evaluated serially) and is
     left out of the report; it is still validated (>= 1) only because the
@@ -309,8 +311,8 @@ def _run_mass_ks(cfg: ExperimentConfig) -> list[dict]:
     def cue_masses(streams: list[RngStream]) -> np.ndarray:
         return total_mass_block(sample_verblunsky_block(cfg.n, streams), p, grid)
 
-    def gmc_mass(stream: RngStream) -> float:
-        return chaos_measure(gaussian_draw(cfg.k, stream), beta_chaos, grid).total_mass
+    def gmc_masses(streams: list[RngStream]) -> np.ndarray:
+        return chaos_mass_block(gaussian_block(cfg.k, streams), beta_chaos, grid)
 
     # |p_n| alone comes off the grid by FFT (see total_mass_block); the
     # branch of Im log p_n, and |p_n|^alpha with alpha < 0, need the
@@ -320,7 +322,7 @@ def _run_mass_ks(cfg: ExperimentConfig) -> list[dict]:
     else:
         cue_vals, _ = mc_map(cue_mass, cfg.samples, cfg.seed)
     # disjoint stream ids for the chaos side keep the two sample sets independent
-    gmc_vals, _ = mc_map(gmc_mass, cfg.samples, cfg.seed, first_index=cfg.samples)
+    gmc_vals, _ = mc_map_blocks(gmc_masses, cfg.samples, cfg.seed, first_index=cfg.samples)
     statistic = ks_distance(cue_vals, gmc_vals)
     # the critical value is rounded up to the two decimals the label shows
     critical = _KS_C_ALPHA * math.sqrt(2.0 / cfg.samples)

@@ -20,17 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, grid_series, grid_step, trig_series, uniform_grid
+from .grids import TWO_PI, grid_reduce, grid_series, grid_step, trig_series, uniform_grid
 from .cue import TraceVector
-from .montecarlo import as_generator
+from .montecarlo import RngStream, as_generator, stream_draws
 
 __all__ = [
     "GaussianDraw",
     "GridMeasure",
     "gaussian_draw",
+    "gaussian_block",
     "field_variance",
     "field_partial_sum",
     "chaos_measure",
+    "chaos_mass_block",
     "integrate_measure",
     "field_coeffs_from_traces",
     "sobolev_norm",
@@ -39,7 +41,8 @@ __all__ = [
 
 @dataclass(eq=False)
 class GaussianDraw:
-    """k i.i.d. standard complex Gaussians Z_1..Z_k.
+    """k i.i.d. standard complex Gaussians Z_1..Z_k, shape (k,), or those of
+    a block of draws, shape (draws, k).
 
     Standard complex means E Z = 0, E|Z|^2 = 1, E Z^2 = 0: real and
     imaginary parts are independent N(0, 1/2).
@@ -53,7 +56,7 @@ class GaussianDraw:
         self.z = np.asarray(self.z, dtype=complex)
         if self.k < 1:
             raise ValueError(f"need k >= 1, got {self.k}")
-        if self.z.ndim != 1 or self.z.size != self.k:
+        if self.z.ndim not in (1, 2) or self.z.shape[-1] != self.k:
             raise ValueError(f"expected {self.k} Gaussians, got shape {self.z.shape}")
 
 
@@ -82,9 +85,22 @@ def gaussian_draw(k: int, stream) -> GaussianDraw:
     k = int(k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    rng = as_generator(stream)
-    parts = rng.standard_normal(2 * k) * np.sqrt(0.5)
-    return GaussianDraw(k=k, z=parts[:k] + 1j * parts[k:])
+    return _gaussians(k, as_generator(stream).standard_normal(2 * k))
+
+
+def gaussian_block(k: int, streams: list[RngStream]) -> GaussianDraw:
+    """One draw per stream, as a block GaussianDraw of shape (len(streams), k):
+    row i holds the Gaussians that gaussian_draw(k, streams[i]) draws."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return _gaussians(k, stream_draws(streams, lambda rng: rng.standard_normal(2 * k)))
+
+
+def _gaussians(k: int, normals: np.ndarray) -> GaussianDraw:
+    # real parts from the first k normals of a draw, imaginary from the rest
+    parts = normals * np.sqrt(0.5)
+    return GaussianDraw(k=k, z=parts[..., :k] + 1j * parts[..., k:])
 
 
 def field_variance(k: int) -> float:
@@ -96,9 +112,11 @@ def field_variance(k: int) -> float:
 
 
 def _field_coeffs(draw: GaussianDraw) -> np.ndarray:
-    """Dense coefficients c_{+-j} of X_k: c_j = Z_j / (2 sqrt j), c_{-j} = conj(c_j)."""
+    """Dense coefficients c_{+-j} of X_k: c_j = Z_j / (2 sqrt j), c_{-j} = conj(c_j);
+    a block gives one row per draw."""
     half = 0.5 * draw.z / np.sqrt(np.arange(1, draw.k + 1))
-    return np.concatenate([np.conj(half[::-1]), [0.0], half])
+    zero = np.zeros(half.shape[:-1] + (1,))
+    return np.concatenate([np.conj(half[..., ::-1]), zero, half], axis=-1)
 
 
 def field_partial_sum(draw: GaussianDraw, theta):
@@ -117,18 +135,46 @@ def chaos_measure(draw: GaussianDraw, beta: float, grid=None) -> GridMeasure:
     2*pi for every beta and k.  The grid must be uniform (it may be shifted)
     and have at least 2k+1 nodes to resolve the degree-k field.
     """
-    if grid is None:
-        grid = uniform_grid(max(1024, 8 * draw.k))
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 * draw.k + 1:
-        raise ValueError(
-            f"grid size {grid.size} below Nyquist {2 * draw.k + 1} for k={draw.k}"
-        )
-    h = grid_step(grid)
-    beta = float(beta)
+    if draw.z.ndim != 1:
+        raise ValueError("chaos_measure takes one draw; chaos_mass_block takes a block")
+    grid = _chaos_grid(draw.k, grid)
     x = grid_series(_field_coeffs(draw), grid.size, grid[0]).real
-    density = np.exp(beta * x - 0.5 * beta * beta * field_variance(draw.k))
-    return GridMeasure(grid=grid, masses=density * h)
+    return GridMeasure(grid=grid, masses=_chaos_masses(x, float(beta), draw.k, grid_step(grid)))
+
+
+def chaos_mass_block(draw: GaussianDraw, beta: float, grid=None) -> np.ndarray:
+    """chaos_measure(draw, beta, grid).total_mass of every draw of a
+    GaussianDraw, bitwise: shape () for one draw, (draws,) for a block.
+
+    The field comes from grid_reduce, 16 draws per inverse FFT, so a block
+    never holds its whole grid; the grid checks and the ValueError on a
+    mass that is not finite are chaos_measure's.
+    """
+    grid = _chaos_grid(draw.k, grid)
+    h = grid_step(grid)
+
+    def total(series: np.ndarray) -> np.ndarray:
+        masses = _chaos_masses(series.real, float(beta), draw.k, h)
+        if not np.all(np.isfinite(masses)):
+            raise ValueError("masses must be finite and non-negative")
+        return np.sum(masses, axis=-1)
+
+    return grid_reduce(_field_coeffs(draw), grid.size, grid[0], total)
+
+
+def _chaos_grid(k: int, grid) -> np.ndarray:
+    """The grid (default uniform_grid(max(1024, 8k))); at least 2k+1 nodes."""
+    if grid is None:
+        grid = uniform_grid(max(1024, 8 * k))
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2 * k + 1:
+        raise ValueError(f"grid size {grid.size} below Nyquist {2 * k + 1} for k={k}")
+    return grid
+
+
+def _chaos_masses(x: np.ndarray, beta: float, k: int, h: float) -> np.ndarray:
+    """Cell masses e^{beta x - (beta^2/2) E X_k^2} h of the field values x."""
+    return np.exp(beta * x - 0.5 * beta * beta * field_variance(k)) * h
 
 
 def integrate_measure(measure: GridMeasure, g) -> float:

@@ -7,11 +7,20 @@ Failed evaluations (e.g. a quadrature node landing on an eigenangle) are
 retried index by index on a shifted substream and counted; a run aborts if
 failures stop looking like measure-zero accidents.  Every sampled quantity
 in the package goes through ``mc_map_blocks``: directly when one call can
-draw and evaluate many samples at once (the registry's Verblunsky draws),
-or through ``mc_map``, which applies a per-draw functional stream by stream.
-``run_mc_detailed`` reduces ``mc_map`` to a mean and a standard error.
-There is no worker pool: threads compete with the BLAS threads inside each
-draw and made runs slower.
+draw and evaluate many samples at once (the registry's Verblunsky and
+Gaussian draws), or through ``mc_map``, which applies a per-draw functional
+stream by stream.  ``run_mc_detailed`` reduces ``mc_map`` to a mean and a
+standard error.  There is no worker pool: threads compete with the BLAS
+threads inside each draw and made runs slower.
+
+Blocks hold up to 256 draws, fixed here and chosen by nothing a caller
+sets.  A draw whose working set is a coefficient vector or one angle costs
+a block little memory, and larger blocks pay numpy's per-call overhead
+less often; a functional whose draws are evaluated on a grid reduces 16
+rows at a time (``grids.grid_reduce``), so its transient stays at 16 x
+grid-size values.  A block reads its draws through ``stream_draws``: one
+Philox bit generator re-keyed to each stream in turn, bitwise the draws of
+``RngStream.generator()`` without building a generator per stream.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "as_generator",
     "mc_map",
     "mc_map_blocks",
+    "stream_draws",
     "run_mc_detailed",
     "ks_distance",
 ]
@@ -42,10 +52,10 @@ _MASK64 = (1 << 64) - 1
 _RETRY_SHIFT = 48
 _MAX_RETRIES = 8
 _ABORT_FRACTION = 1e-3
-# Samples per call of a block functional: enough to amortize numpy's
-# per-call overhead, few enough to keep a block's grid arrays small (one
-# 16 x 1024 complex array is 256 KB for mass-ks on its default grid).
-_BLOCK = 16
+# Samples per call of a block functional (module docstring): a block of
+# coefficient vectors is small, and grid-valued functionals reduce 16 rows
+# at a time.
+_BLOCK = 256
 
 
 class RetryableSampleError(RuntimeError):
@@ -62,16 +72,22 @@ class RngStream:
 
     Distinct stream ids give statistically independent Philox sequences, and
     a fixed (seed, stream_id) pair reproduces the same draws regardless of
-    scheduling, process or thread count.
+    scheduling, process or thread count.  The Philox key is
+    (seed mod 2^64, stream_id mod 2^64): a negative seed s keys the same
+    stream as s + 2^64, and seeds in [0, 2^64) key distinct streams.
     """
 
     seed: int
     stream_id: int = 0
 
+    @property
+    def key(self) -> np.ndarray:
+        """The Philox key of this stream, as two uint64 words."""
+        return np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+
     def generator(self) -> Generator:
         """A fresh numpy Generator positioned at the start of this stream."""
-        key = [self.seed & _MASK64, self.stream_id & _MASK64]
-        return Generator(Philox(key=key))
+        return Generator(Philox(key=self.key))
 
     def substream(self, index: int) -> "RngStream":
         """Derived stream disjoint from all plain sample indices."""
@@ -117,6 +133,32 @@ def as_generator(stream) -> Generator:
     raise TypeError(f"expected RngStream, Generator or int seed, got {type(stream)!r}")
 
 
+def stream_draws(streams: Sequence[RngStream], draw: Callable[[Generator], np.ndarray]) -> np.ndarray:
+    """np.array([draw(stream.generator()) for stream in streams]), bitwise.
+
+    One Philox bit generator serves the whole block: before each stream's
+    draw its state is set to that stream's key, with counter 0 and an empty
+    buffer, which is where a fresh generator starts.  draw must return one
+    array of the same shape for every stream and leave no reference to the
+    generator it is given.
+    """
+    bitgen = Philox(0)
+    rng = Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies, so one array serves
+    rows = []
+    for stream in streams:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": stream.key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rows.append(draw(rng))
+    return np.array(rows)
+
+
 def mc_map_blocks(
     block_functional: Callable[[list[RngStream]], np.ndarray],
     samples: int,
@@ -126,12 +168,13 @@ def mc_map_blocks(
 ) -> tuple[np.ndarray, MCRunStats]:
     """Evaluate ``block_functional`` on runs of consecutive sample streams.
 
-    Samples are taken _BLOCK at a time in index order: the functional gets
-    the streams (seed, first_index + i) of one run of indices i and returns
-    one value per stream.  If it raises RetryableSampleError the run is
-    evaluated again index by index, each on a one-stream list, and an index
-    that fails is retried on its stream's next substream, at most
-    _MAX_RETRIES times.  So the value of sample i depends only on the seed
+    Samples are taken _BLOCK (256) at a time in index order: the functional
+    gets the streams (seed, first_index + i) of one run of indices i and
+    returns one value per stream; one that evaluates its draws on a grid
+    reduces them 16 at a time (module docstring).  If it raises
+    RetryableSampleError the run is evaluated again index by index, each on
+    a one-stream list, and an index that fails is retried on its stream's
+    next substream, at most _MAX_RETRIES times.  So the value of sample i depends only on the seed
     and i, as long as the functional treats its streams independently.
 
     Parameters

@@ -37,6 +37,7 @@ __all__ = [
     "make_sigma",
     "fourier_coeffs",
     "toeplitz_logdet",
+    "check_dense_size",
     "heine_szego_check",
     "DEFAULT_FFT_SINGULAR",
     "DEFAULT_FFT_SMOOTH",
@@ -282,6 +283,17 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
     return FourierCoeffs(order=max_order, values=coeffs)
 
 
+def check_dense_size(n: int) -> int:
+    """n as an int if toeplitz_logdet takes n x n matrices (1 <= n <= 1024);
+    a ValueError otherwise, before any coefficients are computed for it."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 1024:
+        raise ValueError(f"n capped at 1024 for the dense solver, got {n}")
+    return n
+
+
 def toeplitz_logdet(coeffs: FourierCoeffs, n: int) -> ToeplitzResult:
     """Principal-value log-determinant of the n x n matrix (c_{k-j})_{j,k}.
 
@@ -289,11 +301,7 @@ def toeplitz_logdet(coeffs: FourierCoeffs, n: int) -> ToeplitzResult:
     determinants of order hundreds neither overflow nor underflow.  The
     imaginary part is wrapped to [-pi, pi].
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > 1024:
-        raise ValueError(f"n capped at 1024 for the dense solver, got {n}")
+    n = check_dense_size(n)
     if coeffs.order < n - 1:
         raise ValueError(
             f"need coefficients to order {n - 1}, have {coeffs.order}"

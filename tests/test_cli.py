@@ -21,7 +21,8 @@ from cuechaos import (
     toeplitz_logdet,
     uniform_grid,
 )
-from cuechaos.cli import _build_parser, main
+from cuechaos import cli
+from cuechaos.cli import _build_parser, _csv_text, _float_column, main
 
 
 def _read_csv(path):
@@ -50,6 +51,22 @@ def test_sample_cue_stdout_single_header(capsys):
     assert lines[0] == "theta"
     assert len(lines) == 1 + 2 * 3
     assert all("," not in line for line in lines[1:])
+
+
+def test_negative_seeds_draw_their_own_angles(capsys):
+    outputs = []
+    for seed in ("-4", "-5", "0"):
+        assert main(["sample-cue", "--n", "4", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 3
+
+
+def test_float_column_matches_cell_formatting():
+    values = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e22, 1e16, 0.1, -123.456, 2 * np.pi]
+    )
+    want = _csv_text(["x"], [(float(v),) for v in values]).splitlines()[1:]
+    assert _float_column(values) == want
 
 
 def test_sample_cue_rerun_identical(tmp_path):
@@ -193,6 +210,16 @@ def test_bad_config_json_exits_cleanly(tmp_path):
     bad.write_text("{broken", encoding="utf-8")
     with pytest.raises(SystemExit):
         main(["toeplitz-det", "--config", str(bad)])
+
+
+def test_toeplitz_det_size_cap_precedes_the_coefficient_transform(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fourier_coeffs", lambda *args: calls.append(args))
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"v_coeffs": {"0": 0.0}}), encoding="utf-8")
+    with pytest.raises(SystemExit, match="n capped at 1024 for the dense solver, got 2000"):
+        main(["toeplitz-det", "--config", str(config), "--sizes", "3000,8,2000"])
+    assert calls == []
 
 
 def test_bad_sizes_rejected(tmp_path):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cuechaos import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment, write_report
+from cuechaos import EXPERIMENTS, ConfigError, ExperimentConfig, montecarlo, run_experiment, write_report
 
 EXPECTED_NAMES = {
     "clt-traces",
@@ -86,6 +86,21 @@ def test_worker_count_does_not_change_rows():
     serial = run_experiment(ExperimentConfig("coeff-variance", n=6, samples=800, workers=1))
     threaded = run_experiment(ExperimentConfig("coeff-variance", n=6, samples=800, workers=6))
     assert serial["rows"] == threaded["rows"]
+
+
+def test_block_size_does_not_change_rows(monkeypatch):
+    configs = [
+        ExperimentConfig("moment-mc", n=5, beta=0.5, samples=600, seed=2),
+        ExperimentConfig("clt-traces", n=6, k=3, samples=600, seed=2),
+        ExperimentConfig("coeff-variance", n=6, k=6, samples=600, seed=2),
+        ExperimentConfig("mass-ks", n=8, k=8, grid_size=64, samples=300, seed=2),
+        ExperimentConfig("mass-ks", n=8, k=8, beta=0.3, grid_size=64, samples=40, seed=2),
+    ]
+    rows = {}
+    for block in (16, 256):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        rows[block] = [run_experiment(config)["rows"] for config in configs]
+    assert rows[16] == rows[256]
 
 
 def test_written_reports_are_byte_reproducible(tmp_path):

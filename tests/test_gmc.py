@@ -16,10 +16,12 @@ from cuechaos import (
     GaussianDraw,
     GridMeasure,
     RngStream,
+    chaos_mass_block,
     chaos_measure,
     field_coeffs_from_traces,
     field_partial_sum,
     field_variance,
+    gaussian_block,
     gaussian_draw,
     integrate_measure,
     sample_cue,
@@ -49,6 +51,26 @@ def test_gaussian_draw_standard_complex_law():
         assert abs(col.mean() - 1.0) <= 4.0 * stderr
         sq = draws[:, j] ** 2
         assert abs(sq.mean()) <= 4.0 * np.abs(sq).std(ddof=1) / math.sqrt(sq.size)
+
+
+def test_chaos_block_matches_draws_one_at_a_time():
+    # 40 draws take three 16-row runs of grid_reduce
+    streams = [RngStream(29, i) for i in range(40)]
+    block = gaussian_block(12, streams)
+    assert block.z.shape == (40, 12)
+    for grid in (None, uniform_grid(25) + 0.4):
+        masses = chaos_mass_block(block, 1.1, grid)
+        assert masses.shape == (40,)
+        for i, stream in enumerate(streams):
+            draw = gaussian_draw(12, stream)
+            assert np.array_equal(block.z[i], draw.z)
+            assert masses[i] == chaos_measure(draw, 1.1, grid).total_mass
+    one = gaussian_draw(12, streams[3])
+    assert chaos_mass_block(one, 0.6) == chaos_measure(one, 0.6).total_mass
+    with pytest.raises(ValueError, match="below Nyquist"):
+        chaos_mass_block(block, 1.0, uniform_grid(24))
+    with pytest.raises(ValueError, match="one draw"):
+        chaos_measure(block, 1.0)
 
 
 def test_field_variance_harmonic_sum():

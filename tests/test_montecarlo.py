@@ -8,6 +8,7 @@ by hand from the retry policy: sample i takes the first substream of
 import numpy as np
 import pytest
 import scipy.stats
+from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
 
 from cuechaos import (
@@ -20,6 +21,7 @@ from cuechaos import (
     mc_map,
     mc_map_blocks,
     run_mc_detailed,
+    stream_draws,
 )
 
 _INDEX_MASK = (1 << 48) - 1
@@ -114,9 +116,10 @@ def test_run_mc_aborts_on_high_retry_rate():
 
 @pytest.mark.parametrize("dim", [None, 3])
 def test_block_functional_retries_index_by_index(dim):
-    # samples 5 and 37 fail on their first stream; a block holding one of
-    # them is evaluated again index by index, and only that index retries
-    flaky_ids = (5, 37)
+    # samples 5, 37 and 200 fail on their first stream; a block holding one
+    # of them is evaluated again index by index, and only that index
+    # retries; with 256-draw blocks all three share the first block
+    flaky_ids = (5, 37, 200)
 
     def flaky(stream):
         if _stream_index(stream) in flaky_ids and _stream_attempt(stream) == 0:
@@ -132,12 +135,39 @@ def test_block_functional_retries_index_by_index(dim):
         want = np.repeat(want[:, None], 3, axis=1)
     values, stats = mc_map_blocks(_blockwise(flaky), samples, seed=3, dim=dim)
     assert np.array_equal(values, want)
-    assert stats == MCRunStats(retries=2, failures=0)
+    assert stats == MCRunStats(retries=3, failures=0)
     per_draw, per_draw_stats = mc_map(flaky, samples, seed=3, dim=dim)
     assert np.array_equal(per_draw, values) and per_draw_stats == stats
     # block boundaries depend on first_index; the values do not
     tail, _ = mc_map_blocks(_blockwise(flaky), 45, seed=3, dim=dim, first_index=40)
     assert np.array_equal(tail, values[40:85])
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng: rng.random(7), lambda rng: rng.standard_normal(9)],
+    ids=["random", "standard_normal"],
+)
+def test_stream_draws_equal_per_stream_generators(draw):
+    plain = [RngStream(0, 0), RngStream(5, 3), RngStream(2**63 - 1, 7), RngStream(2**63 - 1, 2**48 - 1)]
+    streams = plain + [s.substream(attempt) for s in plain for attempt in (1, 8)]
+    want = np.array([draw(s.generator()) for s in streams])
+    assert np.array_equal(stream_draws(streams, draw), want)
+    # keys below 2^63 keep the draws of the plain-list key, so seeds in
+    # [0, 2^63) draw what they always drew
+    for row, s in zip(want, streams):
+        if s.stream_id < 2**63:
+            assert np.array_equal(row, draw(Generator(Philox(key=[s.seed, s.stream_id]))))
+
+
+def test_seeds_wrap_modulo_2_64_into_distinct_keys():
+    def first(seed):
+        return RngStream(seed, 2).generator().random(4)
+
+    assert np.array_equal(RngStream(-4, 2).key, np.array([2**64 - 4, 2], dtype=np.uint64))
+    assert np.array_equal(first(-4), first(2**64 - 4))
+    seeds = (0, 1, -4, -5, 2**63, 2**63 + 1, 2**64 - 1)
+    assert len({first(seed).tobytes() for seed in seeds}) == len(seeds)
 
 
 def test_mc_map_shapes_and_index_ranges():
