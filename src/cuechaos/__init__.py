@@ -6,7 +6,8 @@ The package has three layers:
 
 * exact machinery -- special functions (`log_barnes_g`, `fh_constant`),
   finite-size moment formulas (`exact_mean_f`), Toeplitz determinants
-  (`toeplitz_logdet`) and their closed-form asymptotics (`fh_prediction`);
+  (`toeplitz_logdet`, and `toeplitz_logdets` for many sizes in one Levinson
+  sweep) and their closed-form asymptotics (`fh_prediction`);
 * sampling machinery -- circular-ensemble draws (`sample_cue`), as
   eigenangles or as Verblunsky coefficients evaluated by the Szego recursion,
   powers-of-traces statistics, chaos measures built from Gaussian Fourier
@@ -81,6 +82,7 @@ from .toeplitz import (
     make_sigma,
     symbol_eval,
     toeplitz_logdet,
+    toeplitz_logdets,
 )
 
 from .experiments import (  # noqa: E402  (needs __version__ above)
@@ -155,6 +157,7 @@ __all__ = [
     "make_sigma",
     "fourier_coeffs",
     "toeplitz_logdet",
+    "toeplitz_logdets",
     "heine_szego_check",
     # asymptotics
     "DomainError",

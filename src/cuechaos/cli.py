@@ -55,7 +55,7 @@ from .toeplitz import (
     check_dense_size,
     fourier_coeffs,
     make_sigma,
-    toeplitz_logdet,
+    toeplitz_logdets,
 )
 
 __all__ = ["main"]
@@ -262,10 +262,8 @@ def _cmd_toeplitz_det(args) -> int:
     for n in sorted(set(sizes)):
         check_dense_size(n)
     coeffs = fourier_coeffs(spec, max(sizes) - 1, args.fft_size)
-    rows = []
-    for n in sorted(set(sizes)):
-        result = toeplitz_logdet(coeffs, n)
-        rows.append((n, result.log_det.real, result.log_det.imag))
+    results = toeplitz_logdets(coeffs, sorted(set(sizes)))
+    rows = [(r.n, r.log_det.real, r.log_det.imag) for r in results]
     files = _emit_csv(args.out, "toeplitz_det.csv", ["n", "log_det_re", "log_det_im"], rows)
     _write_summary(
         args.out,

@@ -117,41 +117,54 @@ class EigenSample:
         return np.exp(1j * j[:, None] * self.angles[None, :]).sum(axis=1)
 
 
-def _szego(alphas, times_z, phi, phis):
-    """The Szego recursion from (Phi_0, Phi_0^*) = (phi, phis):
+def _szego_step(a, zphi, phis):
+    """One step of the Szego recursion, from z Phi_k and Phi_k^*:
 
         Phi_{k+1} = z Phi_k - conj(alpha_k) Phi_k^*,
         Phi_{k+1}^* = Phi_k^* - alpha_k z Phi_k.
 
     The polynomials may be held as values at points of the circle or as
-    coefficient vectors (lowest order first); times_z multiplies one by z in
-    that form.  alphas[..., k] is alpha_k: a scalar for one draw, or the
-    alpha_k of a block of draws shaped to broadcast against the polynomials.
+    coefficient vectors; a is alpha_k, a scalar or an array that broadcasts
+    against them.  Returns (Phi_{k+1}, Phi_{k+1}^*).
+    """
+    return zphi - a.conjugate() * phis, phis - a * zphi
+
+
+def _szego(alphas, z, start):
+    """The Szego recursion on values at the points z of the circle, from
+    Phi_0 = Phi_0^* = start.  alphas[..., k] is alpha_k: a scalar for one
+    draw, or the alpha_k of a block of draws shaped to broadcast against z.
     Yields (z Phi_k, Phi_{k+1}, Phi_{k+1}^*) for k = 0, 1, ..., n - 1.
     """
+    phi = phis = start
     for a in np.moveaxis(np.asarray(alphas, dtype=complex), -1, 0):
-        zphi = times_z(phi)
-        phi, phis = zphi - a.conjugate() * phis, phis - a * zphi
+        zphi = z * phi
+        phi, phis = _szego_step(a, zphi, phis)
         yield zphi, phi, phis
 
 
-def _times_z_truncated(coeffs: np.ndarray) -> np.ndarray:
-    """z times coefficient vectors (last axis, lowest order first) modulo
-    z^L, L = coeffs.shape[-1]."""
-    shifted = np.zeros_like(coeffs)
-    shifted[..., 1:] = coeffs[..., :-1]
-    return shifted
+def _szego_coeffs_step(a, phi: np.ndarray, phis: np.ndarray, k: int) -> None:
+    """Step k of the Szego recursion on coefficient vectors (last axis,
+    lowest order first, modulo z^L with L = phi.shape[-1]), in place.
+
+    Phi_k and Phi_k^* have k + 1 coefficients, so the step reads and writes
+    only the first min(k + 2, L) of each: the entries beyond stay 0.
+    """
+    live = min(k + 2, phi.shape[-1])
+    zphi = np.zeros(phi.shape[:-1] + (live,), dtype=complex)
+    zphi[..., 1:] = phi[..., : live - 1]
+    phi[..., :live], phis[..., :live] = _szego_step(a, zphi, phis[..., :live])
 
 
 def _phi_coeffs(alphas: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of Phi_n and Phi_n^* modulo z^size (last axis, lowest
     order first) for Verblunsky coefficients alphas of shape (..., n); exact
     for size = n + 1."""
-    start = np.zeros(alphas.shape[:-1] + (size,), dtype=complex)
-    start[..., 0] = 1.0
-    phi = phis = start
-    for _, phi, phis in _szego(alphas[..., None, :], _times_z_truncated, start, start):
-        pass
+    phi = np.zeros(alphas.shape[:-1] + (size,), dtype=complex)
+    phi[..., 0] = 1.0
+    phis = phi.copy()
+    for k in range(alphas.shape[-1]):
+        _szego_coeffs_step(alphas[..., k, None], phi, phis, k)
     return phi, phis
 
 
@@ -233,7 +246,7 @@ class VerblunskySample:
         # scalars, so that it does the arithmetic of a block
         one = np.ones(shape or (1,), dtype=complex)
         imlog = np.zeros(one.shape) if branch else None
-        for zphi, phi, _ in _szego(alphas, lambda v: z * v, one, one):
+        for zphi, phi, _ in _szego(alphas, z, one):
             if branch:
                 factor = phi / zphi
                 imlog += np.arctan2(factor.imag, factor.real)

@@ -20,7 +20,10 @@ less often; a functional whose draws are evaluated on a grid reduces 16
 rows at a time (``grids.grid_reduce``), so its transient stays at 16 x
 grid-size values.  A block reads its draws through ``stream_draws``: one
 Philox bit generator re-keyed to each stream in turn, bitwise the draws of
-``RngStream.generator()`` without building a generator per stream.
+``RngStream.generator()`` without building a generator per stream.  Every
+Philox here is built on a seed sequence that reads no OS entropy and then
+given its stream's key by one state set (``_rekey``), so a fresh
+``RngStream.generator()`` costs no entropy either.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngStream",
@@ -56,6 +60,31 @@ _ABORT_FRACTION = 1e-3
 # coefficient vectors is small, and grid-valued functionals reduce 16 rows
 # at a time.
 _BLOCK = 256
+
+
+class _NoEntropy(ISeedSequence):
+    """Seeds a Philox with zeros and reads no OS entropy; _rekey then sets
+    the key the Philox actually uses."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_NO_ENTROPY = _NoEntropy()
+_ZEROS = np.zeros(4, dtype=np.uint64)  # the state setter copies, so one array serves
+
+
+def _rekey(bitgen: Philox, key: np.ndarray) -> None:
+    """Set a Philox to the start of the stream with this key: counter 0 and
+    an empty buffer, where Philox(key=key) starts."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 class RetryableSampleError(RuntimeError):
@@ -86,8 +115,11 @@ class RngStream:
         return np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
 
     def generator(self) -> Generator:
-        """A fresh numpy Generator positioned at the start of this stream."""
-        return Generator(Philox(key=self.key))
+        """A fresh numpy Generator positioned at the start of this stream,
+        bitwise Generator(Philox(key=self.key))."""
+        bitgen = Philox(_NO_ENTROPY)
+        _rekey(bitgen, self.key)
+        return Generator(bitgen)
 
     def substream(self, index: int) -> "RngStream":
         """Derived stream disjoint from all plain sample indices."""
@@ -142,19 +174,11 @@ def stream_draws(streams: Sequence[RngStream], draw: Callable[[Generator], np.nd
     array of the same shape for every stream and leave no reference to the
     generator it is given.
     """
-    bitgen = Philox(0)
+    bitgen = Philox(_NO_ENTROPY)
     rng = Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies, so one array serves
     rows = []
     for stream in streams:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": stream.key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        _rekey(bitgen, stream.key)
         rows.append(draw(rng))
     return np.array(rows)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, toeplitz as _toeplitz_matrix
 
-from .cue import ExponentPair, SingularityError, sample_cue
+from .cue import ExponentPair, SingularityError, _szego_coeffs_step, sample_cue
 from .grids import TWO_PI, grid_series, trig_series
 from .montecarlo import MCEstimate, RngStream, run_mc_detailed
 
@@ -37,6 +37,7 @@ __all__ = [
     "make_sigma",
     "fourier_coeffs",
     "toeplitz_logdet",
+    "toeplitz_logdets",
     "check_dense_size",
     "heine_szego_check",
     "DEFAULT_FFT_SINGULAR",
@@ -147,8 +148,58 @@ class FourierCoeffs:
     __getitem__ = get
 
 
+def _is_hermitian(spec: SymbolSpec, v_dense: np.ndarray) -> bool:
+    """Whether the symbol is real on the circle: V_{-j} = conj(V_j) for
+    every j and every beta_jump purely imaginary (alpha_exp is real)."""
+    return bool(np.array_equal(v_dense, v_dense[::-1].conj())) and all(
+        s.beta_jump.real == 0.0 for s in spec.singularities
+    )
+
+
+def _log_symbol(spec: SymbolSpec, phi: np.ndarray, v, real: bool) -> np.ndarray:
+    """log f at angles phi in [0, 2*pi), an array, given v = V(phi) (None
+    when V = 0):
+
+        log f(phi) = V(phi) + sum_j [2 alpha_j log|2 sin((phi - theta_j)/2)|
+                                     + i beta_j (((phi - theta_j) mod 2pi) - pi)].
+
+    The jump term is the factor z^{beta_j} g_{z_j,beta_j}(z) z_j^{-beta_j}.
+    With real=True only the real part of each term is kept, which is all of
+    log f for a symbol that is real on the circle (_is_hermitian).
+
+    Raises SingularityError if phi hits a singularity with negative alpha_exp.
+    """
+    if v is None:
+        log_f = np.zeros(phi.shape, dtype=float if real else complex)
+    else:
+        log_f = np.array(v.real if real else v, dtype=float if real else complex)
+    for s in spec.singularities:
+        x = phi - s.location
+        np.add(x, TWO_PI, out=x, where=x < 0.0)  # (phi - theta_j) mod 2*pi
+        if s.alpha_exp != 0.0:
+            dist = np.sin(0.5 * x)
+            np.abs(dist, out=dist)
+            dist *= 2.0
+            if s.alpha_exp < 0 and np.any(dist < _LOC_TOL):
+                raise SingularityError(
+                    f"angle hits singularity at {s.location} with negative exponent"
+                )
+            with np.errstate(divide="ignore"):  # log 0 = -inf where f vanishes
+                np.log(dist, out=dist)
+            dist *= 2.0 * s.alpha_exp
+            log_f += dist
+        if s.beta_jump != 0:
+            jump = 1j * s.beta_jump
+            x -= math.pi
+            log_f += (jump.real if real else jump) * x
+    return log_f
+
+
 def symbol_eval(spec: SymbolSpec, phi):
     """Evaluate the symbol at angle(s) phi; scalar in, scalar out.
+
+    The value is exp of the log-symbol (_log_symbol) that fourier_coeffs
+    transforms, with V summed by trig_series when V != 0.
 
     Raises
     ------
@@ -158,24 +209,9 @@ def symbol_eval(spec: SymbolSpec, phi):
     """
     scalar = np.isscalar(phi) or np.asarray(phi).ndim == 0
     phi_arr = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), TWO_PI)
-    value = np.exp(trig_series(spec.v_dense, phi_arr))
-    beta_sum = sum((s.beta_jump for s in spec.singularities), 0.0 + 0.0j)
-    if beta_sum != 0:
-        value = value * np.exp(1j * beta_sum * phi_arr)
-    for s in spec.singularities:
-        half_gap = 0.5 * (phi_arr - s.location)
-        dist = np.abs(2.0 * np.sin(half_gap))
-        if s.alpha_exp < 0 and np.any(dist < _LOC_TOL):
-            raise SingularityError(
-                f"angle hits singularity at {s.location} with negative exponent"
-            )
-        value = value * dist ** (2.0 * s.alpha_exp)
-        jump = np.where(
-            phi_arr < s.location,
-            cmath.exp(1j * math.pi * s.beta_jump),
-            cmath.exp(-1j * math.pi * s.beta_jump),
-        )
-        value = value * jump * cmath.exp(-1j * s.beta_jump * s.location)
+    exponent = spec.v_dense
+    v = trig_series(exponent, phi_arr) if np.any(exponent != 0) else None
+    value = np.exp(_log_symbol(spec, phi_arr, v, real=False))
     return complex(value[0]) if scalar else value
 
 
@@ -234,8 +270,14 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
     node the whole node set is shifted by a further quarter step.  The
     midpoint rule handles the integrable |.|^{2 alpha} singularities
     (alpha > -1/2) with O(N^{-1-2 alpha}) error.  On the nodes the symbol is
-    the singular factor, from symbol_eval, times e^V, with V summed by one
-    inverse FFT (grid_series); a symbol with V = 0 skips that factor.
+    exp of one log-symbol (_log_symbol, shared with symbol_eval), with V
+    summed by one inverse FFT (grid_series); a symbol with V = 0 skips it.
+
+    A symbol that is real on the circle (V_{-j} = conj(V_j) and every
+    beta_jump purely imaginary, as for every make_sigma family at real
+    alpha, beta) is summed in real arithmetic: the real part of the
+    log-symbol, one real exp and one rfft, with c_{-k} = conj(c_k) exactly.
+    Any other symbol takes the complex exp and a complex FFT.
 
     Raises a UserWarning when a singularity has alpha_exp < -0.25 and the
     transform is smaller than the documented 2^20 threshold.
@@ -273,13 +315,18 @@ def fourier_coeffs(spec: SymbolSpec, max_order: int, fft_size: int | None = None
                 offset += 0.25 * step
                 break
     nodes = np.arange(fft_size) * step + offset
-    values = symbol_eval(SymbolSpec({}, spec.singularities), nodes)
     exponent = spec.v_dense
-    if np.any(exponent != 0):
-        values *= np.exp(grid_series(exponent, fft_size, offset))
-    transform = np.fft.fft(values)
-    ks = np.arange(-max_order, max_order + 1)
-    coeffs = np.exp(-1j * ks * offset) * transform[np.mod(ks, fft_size)] / fft_size
+    v = grid_series(exponent, fft_size, offset) if np.any(exponent != 0) else None
+    real = _is_hermitian(spec, exponent)
+    values = np.exp(_log_symbol(spec, nodes, v, real))
+    if real:
+        ks = np.arange(max_order + 1)
+        half = np.exp(-1j * ks * offset) * np.fft.rfft(values)[: max_order + 1] / fft_size
+        coeffs = np.concatenate((half[:0:-1].conj(), half))
+    else:
+        ks = np.arange(-max_order, max_order + 1)
+        transform = np.fft.fft(values)
+        coeffs = np.exp(-1j * ks * offset) * transform[np.mod(ks, fft_size)] / fft_size
     return FourierCoeffs(order=max_order, values=coeffs)
 
 
@@ -297,9 +344,11 @@ def check_dense_size(n: int) -> int:
 def toeplitz_logdet(coeffs: FourierCoeffs, n: int) -> ToeplitzResult:
     """Principal-value log-determinant of the n x n matrix (c_{k-j})_{j,k}.
 
-    Pivoted elimination with per-pivot log-magnitude accumulation, so
-    determinants of order hundreds neither overflow nor underflow.  The
-    imaginary part is wrapped to [-pi, pi].
+    Pivoted elimination (dense LU) with per-pivot log-magnitude
+    accumulation, so determinants of order hundreds neither overflow nor
+    underflow.  The imaginary part is wrapped to [-pi, pi].  This is the
+    general solver for one size; toeplitz_logdets gives many sizes of a
+    positive-definite symbol in one Levinson sweep and falls back to it.
     """
     n = check_dense_size(n)
     if coeffs.order < n - 1:
@@ -321,6 +370,65 @@ def toeplitz_logdet(coeffs: FourierCoeffs, n: int) -> ToeplitzResult:
     log_im = float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
     log_im = math.remainder(log_im, TWO_PI)
     return ToeplitzResult(n=n, log_det=complex(log_re, log_im))
+
+
+def toeplitz_logdets(coeffs: FourierCoeffs, sizes) -> list[ToeplitzResult]:
+    """Log-determinants of the n x n matrices (c_{k-j})_{j,k} for every n in
+    sizes, in the order given.
+
+    When the coefficients up to the largest size are exactly Hermitian,
+    c_{-k} = conj(c_k), with c_0 > 0, one Levinson sweep runs the Szego
+    recursion (cue._szego_coeffs_step) on the monic orthogonal polynomials
+    Phi_k of the symbol, with each Verblunsky coefficient computed from the
+    coefficients of Phi_k^* just before the step that uses it:
+
+        gamma_k = sum_{m<=k} [Phi_k^*]_m c_{k+1-m} / E_k,
+        E_0 = c_0,  E_{k+1} = E_k (1 - |gamma_k|^2),
+
+    and if every |gamma_k| < 1 the matrices are positive definite and
+
+        log D_n = n log c_0 + sum_{k<n-1} (n-1-k) log(1 - |gamma_k|^2),
+
+    real, for every size at once in O(N^2) work, N the largest size.
+    Otherwise each size goes to toeplitz_logdet (dense LU), which is also
+    the test oracle of the sweep.  Sizes are capped as in toeplitz_logdet.
+    """
+    sizes = [check_dense_size(n) for n in sizes]
+    if not sizes:
+        return []
+    top = max(sizes)
+    if coeffs.order < top - 1:
+        raise ValueError(
+            f"need coefficients to order {top - 1}, have {coeffs.order}"
+        )
+    center = coeffs.order
+    window = coeffs.values[center - top + 1 : center + top]
+    c = window[top - 1 :]  # c_0 .. c_{top-1}
+    if not (np.array_equal(window, window[::-1].conj()) and c[0].real > 0.0):
+        return [toeplitz_logdet(coeffs, n) for n in sizes]
+    phi = np.zeros(top, dtype=complex)
+    phi[0] = 1.0
+    phis = phi.copy()
+    energy = c[0].real
+    shrink = np.empty(top - 1)  # log(1 - |gamma_k|^2)
+    for k in range(top - 1):
+        gamma = complex(np.dot(phis[: k + 1], c[k + 1 : 0 : -1])) / energy
+        loss = gamma.real * gamma.real + gamma.imag * gamma.imag
+        if not loss < 1.0:
+            return [toeplitz_logdet(coeffs, n) for n in sizes]
+        shrink[k] = math.log1p(-loss)
+        energy *= 1.0 - loss
+        _szego_coeffs_step(gamma, phi, phis, k)
+    log_c0 = math.log(c[0].real)
+    return [
+        ToeplitzResult(
+            n=n,
+            log_det=complex(
+                n * log_c0 + float(np.dot(np.arange(n - 1, 0, -1), shrink[: n - 1])), 0.0
+            ),
+        )
+        for n in sizes
+    ]
 
 
 def heine_szego_check(

@@ -160,6 +160,19 @@ def test_stream_draws_equal_per_stream_generators(draw):
             assert np.array_equal(row, draw(Generator(Philox(key=[s.seed, s.stream_id]))))
 
 
+@pytest.mark.parametrize("seed", [0, -4, 2**63 - 1])
+def test_generator_equals_a_keyed_philox(seed):
+    """RngStream.generator() is re-keyed, not seeded from entropy: its state
+    and its draws are bitwise those of Generator(Philox(key=stream.key))."""
+    for stream in (RngStream(seed, 0), RngStream(seed, 11), RngStream(seed, 5).substream(3)):
+        got, want = stream.generator(), Generator(Philox(key=stream.key))
+        assert np.array_equal(got.bit_generator.state["state"]["key"], want.bit_generator.state["state"]["key"])
+        assert np.array_equal(got.random(7), want.random(7))
+        assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(got.integers(0, 1000, 5), want.integers(0, 1000, 5))
+        assert np.array_equal(got.bit_generator.state["state"]["counter"], want.bit_generator.state["state"]["counter"])
+
+
 def test_seeds_wrap_modulo_2_64_into_distinct_keys():
     def first(seed):
         return RngStream(seed, 2).generator().random(4)

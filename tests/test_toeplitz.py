@@ -1,9 +1,12 @@
 """Tests for symbol evaluation, Fourier coefficients, and Toeplitz determinants.
 
 Coefficient oracles: the binomial formula for a pure |z - z0|^{2a} symbol,
-and the modified-Bessel generating function for e^{c(z + 1/z)}.  Determinant
-oracle: numpy's slogdet on an explicitly assembled matrix.  The sigma symbol
-families are checked against hand-expanded closed forms.
+the modified-Bessel generating function for e^{c(z + 1/z)}, and the complex
+FFT of the symbol on the same nodes.  Determinant oracles: numpy's slogdet
+on an explicitly assembled matrix, dense LU (toeplitz_logdet) for the
+Levinson sweep (toeplitz_logdets), and the closed form
+prod_{j<=n} Gamma(j) Gamma(j+2a) / Gamma(j+a)^2 for a single root.  The
+sigma symbol families are checked against hand-expanded closed forms.
 """
 
 import cmath
@@ -27,6 +30,7 @@ from cuechaos import (
     make_sigma,
     symbol_eval,
     toeplitz_logdet,
+    toeplitz_logdets,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -201,8 +205,10 @@ def test_fourier_coeffs_matches_direct_transform_of_symbol_values():
 
 
 def test_fourier_coeffs_skips_the_exponent_factor_when_v_is_zero(monkeypatch):
-    # sigma3 has V = 0: no inverse FFT of V, and the coefficients are bitwise
-    # those of multiplying by exp(grid_series([0], N, offset)) = 1 + 0j
+    """sigma3 has V = 0: no inverse FFT of V.  The coefficients are those of
+    multiplying by exp(grid_series([0], N, offset)) = 1 + 0j and taking a
+    complex FFT, to rtol 1e-13 and atol 1e-13 max|c| (the real transform
+    rounds differently from the complex one)."""
     import cuechaos.toeplitz
 
     spec = make_sigma(3, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.2), 0)
@@ -212,7 +218,7 @@ def test_fourier_coeffs_skips_the_exponent_factor_when_v_is_zero(monkeypatch):
     values *= np.exp(grid_series(np.zeros(1), size, offset))
     transform = np.fft.fft(values)
     ks = np.arange(-order, order + 1)
-    parent = np.exp(-1j * ks * offset) * transform[np.mod(ks, size)] / size
+    oracle = np.exp(-1j * ks * offset) * transform[np.mod(ks, size)] / size
 
     calls = []
 
@@ -223,7 +229,7 @@ def test_fourier_coeffs_skips_the_exponent_factor_when_v_is_zero(monkeypatch):
     monkeypatch.setattr(cuechaos.toeplitz, "grid_series", spy)
     got = fourier_coeffs(spec, order, size).values
     assert calls == []
-    np.testing.assert_array_equal(got, parent)
+    assert_allclose(got, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
     fourier_coeffs(make_sigma(2, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.2), 8), order, size)
     assert len(calls) == 1  # the spy sees a symbol with V != 0
 
@@ -320,3 +326,107 @@ def test_sigma1_family_determinants_monotone_in_size():
     coeffs = fourier_coeffs(spec, 15)
     logs = [toeplitz_logdet(coeffs, n).log_det.real for n in range(1, 17)]
     assert np.all(np.diff(logs) >= -1e-12)
+
+
+def _complex_transform(spec, order, size, offset):
+    """The complex-FFT coefficients on the midpoint nodes: symbol_eval of the
+    singular factors times exp(grid_series(V)), then np.fft.fft."""
+    nodes = np.arange(size) * (TWO_PI / size) + offset
+    values = symbol_eval(SymbolSpec({}, spec.singularities), nodes)
+    values = values * np.exp(grid_series(spec.v_dense, size, offset))
+    ks = np.arange(-order, order + 1)
+    return np.exp(-1j * ks * offset) * np.fft.fft(values)[np.mod(ks, size)] / size
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_sigma(1, 0.3, 1.7, ExponentPair(0.8, 0.5), 200),
+        make_sigma(2, 0.0, 0.5 * math.pi, ExponentPair(0.6, 0.3), 200),
+        make_sigma(3, 0.0, 0.5 * math.pi, ExponentPair(0.8, 0.5), 0),
+        SymbolSpec({}, (Singularity(0.5 * math.pi, 0.45, 0.0),)),
+    ],
+    ids=["sigma1", "sigma2", "sigma3", "single-root"],
+)
+def test_hermitian_coefficients_match_the_complex_transform(spec):
+    """A symbol real on the circle goes through the real log-symbol and one
+    rfft: its coefficients are exactly Hermitian, c_{-k} = conj(c_k), and
+    equal the complex FFT of the symbol on the same nodes to rtol 1e-13 and
+    atol 1e-13 max|c|."""
+    size, order = 1 << 14, 64
+    offset = 0.5 * TWO_PI / size  # 0 and pi/2 lie on the integer grid, off every midpoint
+    got = fourier_coeffs(spec, order, size).values
+    np.testing.assert_array_equal(got, got[::-1].conj())
+    oracle = _complex_transform(spec, order, size, offset)
+    assert_allclose(got, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+
+
+_SWEEP_SYMBOLS = {
+    "sigma1": make_sigma(1, 0.3, 1.7, ExponentPair(0.8, 0.5), 40),
+    "sigma2": make_sigma(2, 0.7, 2.9, ExponentPair(0.9, 0.0), 200),
+    "sigma3-beta0": make_sigma(3, 0.5, 2.3, ExponentPair(0.8, 0.0), 0),
+    "sigma3-beta": make_sigma(3, 0.5, 2.3, ExponentPair(0.8, 0.5), 0),
+    "single-root": SymbolSpec({}, (Singularity(1.3, 0.45, 0.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_SYMBOLS))
+def test_levinson_sweep_matches_lu(name, monkeypatch):
+    """The one Levinson sweep against dense LU at n in {1, 2, 64, 1024},
+    within 1e-10 absolute, from one coefficient set; the sweep itself calls
+    no LU, and its Im log D_n is exactly 0."""
+    import cuechaos.toeplitz
+
+    sizes = [1, 2, 64, 1024]
+    coeffs = fourier_coeffs(_SWEEP_SYMBOLS[name], max(sizes) - 1)
+    lu = [toeplitz_logdet(coeffs, n).log_det for n in sizes]
+    calls = []
+    monkeypatch.setattr(cuechaos.toeplitz, "toeplitz_logdet", lambda *a: calls.append(a))
+    results = toeplitz_logdets(coeffs, sizes)
+    assert calls == []
+    assert [r.n for r in results] == sizes
+    for result, want in zip(results, lu):
+        assert result.log_det.imag == 0.0
+        assert abs(result.log_det - want) < 1e-10
+
+
+def test_levinson_sweep_single_root_closed_form():
+    """|z - z0|^{2a} at a = 0.45: log D_n within 1e-6 of
+    sum_{j<=n} log[Gamma(j) Gamma(j+2a) / Gamma(j+a)^2] at every n <= 1024
+    (the 2^20-node quadrature error, not the sweep, sets the gap)."""
+    a = 0.45
+    coeffs = fourier_coeffs(_SWEEP_SYMBOLS["single-root"], 1023)
+    sizes = list(range(1, 1025))
+    got = np.array([r.log_det.real for r in toeplitz_logdets(coeffs, sizes)])
+    j = np.arange(1, 1025)
+    terms = scipy.special.gammaln(j) + scipy.special.gammaln(j + 2 * a) - 2 * scipy.special.gammaln(j + a)
+    assert np.max(np.abs(got - np.cumsum(terms))) < 1e-6
+
+
+def test_levinson_sweep_falls_back_to_lu():
+    """A complex jump (beta_jump 0.2 + 0.1i) and a V with V_{-1} != conj(V_1)
+    give non-Hermitian coefficients, a hand-built Hermitian c_0 = 1,
+    c_{+-1} = 0.8 is indefinite from n = 3 on, and c_0 = -1 alone is
+    negative definite: all go to dense LU for every size, bitwise."""
+    jump = fourier_coeffs(SymbolSpec({1: 0.2, -1: 0.2}, (Singularity(1.0, 0.3, 0.2 + 0.1j),)), 63)
+    skew_v = fourier_coeffs(SymbolSpec({1: 0.3, -1: 0.1}, ()), 15)
+    values = np.zeros(9, dtype=complex)
+    values[3:6] = [0.8, 1.0, 0.8]
+    indefinite = FourierCoeffs(order=4, values=values)
+    negative = FourierCoeffs(order=2, values=[0.0, 0.0, -1.0, 0.0, 0.0])
+    cases = ((jump, [64, 1, 2, 16]), (skew_v, [16, 2, 8]), (indefinite, [1, 2, 3, 5]), (negative, [1, 2, 3]))
+    for coeffs, sizes in cases:
+        results = toeplitz_logdets(coeffs, sizes)
+        assert results == [toeplitz_logdet(coeffs, n) for n in sizes]
+    assert toeplitz_logdets(indefinite, [3])[0].log_det.imag == pytest.approx(math.pi)
+
+
+def test_levinson_sweep_checks_sizes_and_order():
+    coeffs = fourier_coeffs(SymbolSpec({1: 0.3, -1: 0.3}, ()), 4)
+    with pytest.raises(ValueError, match="need coefficients to order 5"):
+        toeplitz_logdets(coeffs, [2, 6])
+    with pytest.raises(ValueError, match="n capped at 1024"):
+        toeplitz_logdets(coeffs, [2, 2000])
+    with pytest.raises(ValueError, match="need n >= 1"):
+        toeplitz_logdets(coeffs, [0])
+    assert toeplitz_logdets(coeffs, []) == []

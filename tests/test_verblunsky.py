@@ -10,6 +10,8 @@ Oracles used here:
     traces and f at one angle run the same arithmetic and must agree
     bitwise; the block total mass reads |p_n| off the grid by FFT instead
     of the recursion on grid values, and must agree with integrate_f
+  - the recursion on coefficient vectors with every step over all stored
+    coefficients: the steps over the live ones only must agree bitwise
 
 Tolerances, fixed before any run: 1e-9 absolute against the CMV oracle; the
 two-sample KS critical value c(1e-3) sqrt(2/S), c(a) = sqrt(ln(2/a)/2), with
@@ -40,6 +42,7 @@ from cuechaos import (
     trace_powers,
     uniform_grid,
 )
+from cuechaos.cue import _phi_coeffs
 
 from cmv_oracle import eigen_oracle
 
@@ -170,6 +173,33 @@ def test_block_matches_draws_one_at_a_time(n):
             assert np.array_equal(block.alphas[i], draw.alphas)
             assert np.array_equal(traces[i], trace_powers(draw, j_max).traces)
             assert values[i] == f_value(draw, 0.0, p)
+
+
+def _phi_coeffs_every_coefficient(alphas, size):
+    """The Szego recursion on coefficient vectors modulo z^size with every
+    step over all size coefficients, zeros included."""
+    phi = np.zeros(alphas.shape[:-1] + (size,), dtype=complex)
+    phi[..., 0] = 1.0
+    phis = phi
+    for k in range(alphas.shape[-1]):
+        a = alphas[..., k, None]
+        zphi = np.zeros_like(phi)
+        zphi[..., 1:] = phi[..., :-1]
+        phi, phis = zphi - a.conjugate() * phis, phis - a * zphi
+    return phi, phis
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_triangular_steps_match_full_steps(n):
+    # each step touches only the live coefficients of Phi_k; the untouched
+    # ones are zeros, so the polynomials are bitwise the full recursion's
+    alphas = sample_verblunsky_block(n, [RngStream(29, 100 * n + i) for i in range(6)]).alphas
+    for rows in (alphas, alphas[0]):
+        for size in sorted({1, 2, min(5, n + 1), n + 1}):
+            got = _phi_coeffs(rows, size)
+            want = _phi_coeffs_every_coefficient(rows, size)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 128])
